@@ -36,7 +36,7 @@ use crate::error::EngineError;
 use crate::kernel::{self, KernelCounters, LocalDfa, SigKey, SymCache};
 use crate::translate::{build_regex, relevant_streams, symbol_table};
 use lahar_automata::{BitSet, Nfa, SymbolSet};
-use lahar_model::{Database, Marginal, Stream, StreamData};
+use lahar_model::{Database, Stream, StreamData};
 use lahar_query::{NormalItem, QueryError};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -121,9 +121,77 @@ pub(crate) struct SoaDesc<'a> {
 pub(crate) enum MarginalSource<'a> {
     /// `marginal_at(t)` of each relevant stream (batch evaluation).
     Db(&'a Database),
-    /// Pre-staged marginals indexed like `db.streams()` (session tick
-    /// on a worker thread, where the database is not shareable).
-    Staged(&'a [Marginal]),
+    /// A session tick's frame (also on worker threads, where the
+    /// database is not shareable).
+    Frame(&'a TickFrame),
+}
+
+/// One closed session tick: every stream's marginal, written once when
+/// the tick closes and then read by every chain. Outcome-major —
+/// `p[d * n_streams + s]` is stream `s`'s probability of outcome `d`
+/// (`+0.0` past the end of a shorter domain) — so one outcome's
+/// probabilities across all streams form a contiguous row, the order
+/// the batched fill in [`crate::soa`] consumes. A frame is reused from
+/// tick to tick: a stream's domain never changes, so each tick
+/// overwrites exactly the cells the last one wrote.
+pub(crate) struct TickFrame {
+    n_streams: usize,
+    /// Domain size per stream.
+    lens: Vec<usize>,
+    p: Vec<f64>,
+}
+
+impl TickFrame {
+    /// An all-zero frame for streams with the given domain sizes.
+    pub(crate) fn new(lens: Vec<usize>) -> Self {
+        let width = lens.iter().copied().max().unwrap_or(0);
+        Self {
+            n_streams: lens.len(),
+            p: vec![0.0; width * lens.len()],
+            lens,
+        }
+    }
+
+    /// Writes every stream's marginal into the frame: `probs(s)` is
+    /// stream `s`'s, one probability per outcome of its domain. Streams
+    /// go in blocks of eight, so a block writes whole cache lines of
+    /// each outcome row rather than one cell per line.
+    pub(crate) fn fill<'m>(&mut self, probs: impl Fn(usize) -> &'m [f64]) {
+        const BLOCK: usize = 8;
+        let n = self.n_streams;
+        let mut block: [&[f64]; BLOCK] = [&[]; BLOCK];
+        for s0 in (0..n).step_by(BLOCK) {
+            let m = BLOCK.min(n - s0);
+            let mut width = 0;
+            for (j, marginal) in block[..m].iter_mut().enumerate() {
+                *marginal = probs(s0 + j);
+                debug_assert_eq!(marginal.len(), self.lens[s0 + j]);
+                width = width.max(marginal.len());
+            }
+            for d in 0..width {
+                let row = &mut self.p[d * n + s0..d * n + s0 + m];
+                for (cell, marginal) in row.iter_mut().zip(&block[..m]) {
+                    if let Some(&p) = marginal.get(d) {
+                        *cell = p;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Outcome `d`'s probability in every stream, indexed by stream.
+    pub(crate) fn row(&self, d: usize) -> &[f64] {
+        &self.p[d * self.n_streams..(d + 1) * self.n_streams]
+    }
+
+    /// Stream `s`'s marginal, outcome by outcome.
+    fn stream(&self, s: usize) -> impl Iterator<Item = f64> + Clone + '_ {
+        self.p[s..]
+            .iter()
+            .step_by(self.n_streams)
+            .take(self.lens[s])
+            .copied()
+    }
 }
 
 /// Serializable forward state of an independent-mode [`ChainEvaluator`]:
@@ -482,6 +550,17 @@ impl ChainEvaluator {
         self.syms_fp
     }
 
+    /// What the SoA planner's cached plan depends on for this chain: the
+    /// local numbering's version while the chain can join a batch, `None`
+    /// when it cannot (see [`ChainEvaluator::soa_descriptor`]). Any
+    /// discovery, checkpoint import or interpreter toggle changes it.
+    pub(crate) fn soa_stamp(&self) -> Option<u64> {
+        match &self.repr {
+            Repr::Indep(k) if !k.local.forces_interpreter() => Some(k.local.layout_version()),
+            _ => None,
+        }
+    }
+
     /// Memoized FNV-1a fingerprint of the local state numbering (see
     /// [`LocalDfa::layout_fp`]); `None` for Markov chains.
     pub(crate) fn layout_fp(&self) -> Option<u64> {
@@ -523,7 +602,7 @@ impl ChainEvaluator {
     /// This tick's symbol-distribution index in `cache` for this chain's
     /// signature, computing it on a miss — the exact cache protocol of
     /// the scalar step, shared so both paths resolve identically.
-    pub(crate) fn sym_dist_index(&mut self, marginals: &[Marginal], cache: &mut SymCache) -> u32 {
+    pub(crate) fn sym_dist_index(&mut self, frame: &TickFrame, cache: &mut SymCache) -> u32 {
         let streams = &self.streams;
         let syms = &self.syms;
         let t = self.t;
@@ -534,14 +613,7 @@ impl ChainEvaluator {
         match cache.lookup(&k.sig) {
             Some(idx) => idx,
             None => cache.insert_with(k.sig.clone(), |out, tmp| {
-                union_convolution(
-                    streams,
-                    syms,
-                    &MarginalSource::Staged(marginals),
-                    t,
-                    out,
-                    tmp,
-                )
+                union_convolution(streams, syms, &MarginalSource::Frame(frame), t, out, tmp)
             }),
         }
     }
@@ -631,31 +703,25 @@ impl ChainEvaluator {
     }
 
     /// Consumes timestep `t = next_t()` of an independent-mode evaluator
-    /// using this tick's marginals directly (indexed like
-    /// `db.streams()`), without touching the database. This is how the
-    /// session's parallel tick path steps shards on worker threads: the
-    /// arithmetic is shared with [`ChainEvaluator::step`], so both paths
-    /// produce the same result for the same inputs.
-    pub fn step_with_marginals(&mut self, marginals: &[Marginal]) -> Result<f64, EngineError> {
-        self.step_with_cache(marginals, None)
-    }
-
-    /// [`ChainEvaluator::step_with_marginals`] with a per-tick symbol
-    /// distribution cache: chains sharing a `(streams, syms)` signature
-    /// reuse one union-convolution per tick. The caller must clear the
-    /// cache between ticks ([`SymCache::begin_tick`]); all chains served
-    /// by one cache generation must be at the same timestep.
-    pub(crate) fn step_with_cache(
+    /// from a session tick's frame, without touching the database — how
+    /// session ticks step chains, on worker threads too. The arithmetic
+    /// is shared with [`ChainEvaluator::step`], so both produce the same
+    /// result for the same inputs. With a per-tick symbol-distribution
+    /// `cache`, chains sharing a `(streams, syms)` signature reuse one
+    /// union-convolution per tick; the caller must clear it between
+    /// ticks ([`SymCache::begin_tick`]), and all chains served by one
+    /// cache generation must be at the same timestep.
+    pub(crate) fn step_frame(
         &mut self,
-        marginals: &[Marginal],
+        frame: &TickFrame,
         cache: Option<&mut SymCache>,
     ) -> Result<f64, EngineError> {
         if !self.is_independent() {
             return Err(EngineError::Query(QueryError::NotInClass(
-                "step_with_marginals requires an independent-mode chain".to_owned(),
+                "session ticks require an independent-mode chain".to_owned(),
             )));
         }
-        self.step_independent(&MarginalSource::Staged(marginals), cache);
+        self.step_independent(&MarginalSource::Frame(frame), cache);
         self.t += 1;
         Ok(self.accept_prob())
     }
@@ -811,30 +877,39 @@ pub(crate) fn union_convolution(
     out.clear();
     out.push((SymbolSet::EMPTY, 1.0));
     for (s, &si) in streams.iter().enumerate() {
-        let owned;
-        let probs: &[f64] = match *source {
+        match *source {
             MarginalSource::Db(db) => {
-                owned = db.streams()[si].marginal_at(t);
-                owned.probs()
+                let marginal = db.streams()[si].marginal_at(t);
+                convolve_stream(marginal.probs().iter().copied(), &syms[s], out, tmp);
             }
-            MarginalSource::Staged(ms) => ms[si].probs(),
-        };
-        tmp.clear();
-        for &(sym, p) in out.iter() {
-            for (d, &pd) in probs.iter().enumerate() {
-                if pd == 0.0 {
-                    continue;
-                }
-                tmp.push((sym.union(syms[s][d]), p * pd));
-            }
+            MarginalSource::Frame(frame) => convolve_stream(frame.stream(si), &syms[s], out, tmp),
         }
-        tmp.sort_by_key(|&(sym, _)| sym.0);
-        out.clear();
-        for &(sym, p) in tmp.iter() {
-            match out.last_mut() {
-                Some(last) if last.0 == sym => last.1 += p,
-                _ => out.push((sym, p)),
+    }
+}
+
+/// One step of [`union_convolution`]: folds a stream's marginal (`probs`,
+/// outcome by outcome) into the distribution `out`.
+fn convolve_stream(
+    probs: impl Iterator<Item = f64> + Clone,
+    syms: &[SymbolSet],
+    out: &mut Vec<(SymbolSet, f64)>,
+    tmp: &mut Vec<(SymbolSet, f64)>,
+) {
+    tmp.clear();
+    for &(sym, p) in out.iter() {
+        for (d, pd) in probs.clone().enumerate() {
+            if pd == 0.0 {
+                continue;
             }
+            tmp.push((sym.union(syms[d]), p * pd));
+        }
+    }
+    tmp.sort_by_key(|&(sym, _)| sym.0);
+    out.clear();
+    for &(sym, p) in tmp.iter() {
+        match out.last_mut() {
+            Some(last) if last.0 == sym => last.1 += p,
+            _ => out.push((sym, p)),
         }
     }
 }
@@ -1016,6 +1091,37 @@ mod tests {
                 d <= bound,
                 "tick {t} scanned {d} states, more than the first tick's {bound}"
             );
+        }
+    }
+
+    /// The frame is a transpose: across a block boundary and unequal
+    /// domains, row `d` holds every stream's outcome `d` (`+0.0` past a
+    /// shorter domain) and each stream reads back exactly its marginal,
+    /// also after a refill.
+    #[test]
+    fn tick_frame_is_outcome_major() {
+        let lens: Vec<usize> = (0..19).map(|s| 2 + s % 4).collect();
+        let mut frame = TickFrame::new(lens.clone());
+        for round in 0..2 {
+            let marginals: Vec<Vec<f64>> = lens
+                .iter()
+                .enumerate()
+                .map(|(s, &len)| {
+                    (0..len)
+                        .map(|d| (round * 1000 + s * 10 + d) as f64)
+                        .collect()
+                })
+                .collect();
+            frame.fill(|s| &marginals[s]);
+            for d in 0..5 {
+                for (s, marginal) in marginals.iter().enumerate() {
+                    let want = marginal.get(d).copied().unwrap_or(0.0);
+                    assert_eq!(frame.row(d)[s].to_bits(), want.to_bits(), "d={d} s={s}");
+                }
+            }
+            for (s, marginal) in marginals.iter().enumerate() {
+                assert_eq!(&frame.stream(s).collect::<Vec<_>>(), marginal);
+            }
         }
     }
 

@@ -11,8 +11,10 @@
 //!   parses back to the **bit-identical** value — the property the
 //!   checkpoint/restore guarantees are built on; and
 //! * a small recursive-descent parser ([`parse`]) returning a
-//!   [`JsonValue`] tree, used by `Checkpoint::from_json` and by tests
-//!   asserting that emitted documents are actually JSON.
+//!   [`JsonValue`] tree, used by `Checkpoint::from_json`, the wire
+//!   protocol and by tests asserting that emitted documents are actually
+//!   JSON. Nesting is capped at [`MAX_DEPTH`], so hostile input is
+//!   rejected with a [`JsonError`] instead of overflowing the stack.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -132,11 +134,19 @@ pub fn push_f64(out: &mut String, v: f64) {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a frame of a few thousand `[` would
+/// overflow the thread's stack — an abort no `catch_unwind` can stop.
+/// Every document the engine writes nests a handful of levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed).
+/// Documents nested deeper than [`MAX_DEPTH`] are rejected.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -150,6 +160,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -194,8 +206,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -203,6 +215,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -374,6 +401,19 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\"}", "nul", "1 2", "\"abc", "NaN"] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_past_the_cap() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&over).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.at, MAX_DEPTH);
+        // Far past any stack a recursive parser could survive.
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
+        assert!(parse(&"{\"a\":".repeat(1 << 16)).is_err());
     }
 
     #[test]

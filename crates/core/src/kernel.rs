@@ -362,9 +362,9 @@ pub(crate) struct LocalDfa {
     /// (bit `q % 64` of word `q / 64`).
     acc_words: Vec<u64>,
     /// Bumped whenever the local state numbering changes (new state
-    /// discovered or a checkpoint import rebuilt it). The SoA batcher
-    /// keys lane-compatibility checks and cached transition columns on
-    /// this, so a stale batch layout can never be applied.
+    /// discovered or a checkpoint import rebuilt it). The SoA planner
+    /// keys its cached plan on this, so a stale batch layout can never
+    /// be applied.
     layout_version: u64,
     /// Dense transitions: `trans[q * stride + slot]`, [`UNKNOWN`] = miss.
     trans: Vec<u32>,
@@ -471,9 +471,8 @@ impl LocalDfa {
     }
 
     /// Monotone stamp of the local numbering; see `layout_version` docs.
-    /// Read by unit tests today; reserved for cross-tick column caching
-    /// in the batcher (which currently replans every tick).
-    #[allow(dead_code)]
+    /// The SoA planner keeps a shard's plan while every chain's stamp is
+    /// unchanged ([`crate::chain::ChainEvaluator::soa_stamp`]).
     pub(crate) fn layout_version(&self) -> u64 {
         self.layout_version
     }
@@ -825,7 +824,7 @@ mod tests {
         assert_ne!(a_sets[1], b_sets[1]);
     }
 
-    /// The SoA batcher keys lane compatibility on `layout_version`: it
+    /// The SoA planner keeps its cached plan while `layout_version` holds: it
     /// must bump on every numbering change (state discovery, checkpoint
     /// import) and stay put across read-only lookups like `peek_local`.
     #[test]

@@ -1,6 +1,6 @@
 //! The readiness-driven connection reactor behind [`crate::LaharServer`].
 //!
-//! One thread (`lahar-conn-reactor`) owns the listening socket and
+//! One thread per server (`lahar-conn-<n>`) owns the listening socket and
 //! every client connection, multiplexed with `poll(2)` through the
 //! [`crate::sys_poll`] shim: a thousand idle clients cost a thousand
 //! file descriptors and **zero** threads, and the only other threads in

@@ -428,6 +428,8 @@ impl Shared {
 pub struct LaharServer {
     shared: Arc<Shared>,
     addr: SocketAddr,
+    /// Name of the reactor thread; see [`LaharServer::conn_thread_name`].
+    conn_thread: String,
     reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     metrics: Option<MetricsServer>,
@@ -576,11 +578,17 @@ impl LaharServer {
         // client socket: thousands of idle connections cost file
         // descriptors, not threads. The name keeps the `lahar-conn`
         // prefix so request traces still attribute `serve_request`
-        // spans to the connection layer.
+        // spans to the connection layer; the per-process server number
+        // after it tells apart the servers one process hosts.
+        static SERVERS_STARTED: AtomicU64 = AtomicU64::new(0);
+        let conn_thread = format!(
+            "lahar-conn-{}",
+            SERVERS_STARTED.fetch_add(1, Ordering::Relaxed)
+        );
         let reactor = {
             let shared = shared.clone();
             std::thread::Builder::new()
-                .name("lahar-conn-reactor".to_owned())
+                .name(conn_thread.clone())
                 .spawn(move || crate::reactor::run(listener, wake_reader, &shared))
                 .map_err(|e| EngineError::ServerUnavailable(format!("spawn reactor: {e}")))?
         };
@@ -588,6 +596,7 @@ impl LaharServer {
         Ok(Self {
             shared,
             addr,
+            conn_thread,
             reactor: Some(reactor),
             workers,
             metrics,
@@ -597,6 +606,13 @@ impl LaharServer {
     /// The address the listener actually bound (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Name of the one thread serving this server's client connections
+    /// (`lahar-conn-<n>`, `n` numbering the servers started in this
+    /// process). Connections never get threads of their own.
+    pub fn conn_thread_name(&self) -> &str {
+        &self.conn_thread
     }
 
     /// The resolved metrics address, when exposition is enabled.

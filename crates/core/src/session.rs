@@ -12,7 +12,8 @@
 //! Internally the session owns every registered query's per-key chains
 //! directly, partitioned into contiguous, balanced *shards*. A tick can
 //! advance the shards either in place (sequential) or on the
-//! process-shared worker pool ([`crate::pool`]): the tick's marginals
+//! process-shared worker pool ([`crate::pool`]): the tick's marginals,
+//! written once into a dense outcome-major frame as the tick closes,
 //! are shared with the workers behind an `Arc`, each worker steps its
 //! shard through [`crate::ChainEvaluator`] and sends it back with the
 //! per-chain probabilities, and the session recombines per-query
@@ -59,7 +60,7 @@
 //! assert!((alerts[0].probability - 0.54).abs() < 1e-9);
 //! ```
 
-use crate::chain::ChainEvaluator;
+use crate::chain::{ChainEvaluator, TickFrame};
 use crate::checkpoint::{Checkpoint, QueryMeta, CHECKPOINT_VERSION};
 use crate::error::{panic_message, EngineError};
 use crate::extended::ExtendedRegularEvaluator;
@@ -128,8 +129,8 @@ pub enum TickMode {
 pub struct SessionConfig {
     /// Which tick path to use.
     pub tick_mode: TickMode,
-    /// Worker threads for the parallel path; `0` means one per
-    /// available core.
+    /// Worker threads for the parallel path; `0` means one per core
+    /// available when the session is created.
     pub n_workers: usize,
     /// Minimum total chain count for [`TickMode::Auto`] to engage the
     /// parallel path. Below it, per-tick work is too small to amortize
@@ -397,35 +398,24 @@ struct Shard {
 /// `ticks` before reporting back — one join per epoch, not per tick.
 struct EpochJob {
     shard: Shard,
-    ticks: Vec<Arc<Vec<Marginal>>>,
+    ticks: Vec<Arc<TickFrame>>,
+    n_queries: usize,
 }
 
-/// Per-chain probabilities (shard order) plus wall-clock nanoseconds
-/// attributed to each query index plus kernel-path telemetry, as
-/// produced by [`step_shard`].
-type SteppedShard = (Vec<f64>, Vec<(usize, u64)>, KernelTickStats);
+/// What a worker hands back for one epoch: per-chain probabilities
+/// (tick-major, shard order within each tick), wall-clock nanoseconds
+/// per query index, and kernel-path telemetry — as [`step_shard_epoch`]
+/// produces them.
+type SteppedEpoch = (Vec<f64>, Vec<u64>, KernelTickStats);
 
-/// [`SteppedShard`] over a whole epoch: per-tick probability rows
-/// (epoch order, then shard order) with the nanoseconds and kernel
-/// telemetry summed across the epoch's ticks.
-type SteppedEpoch = (Vec<Vec<f64>>, Vec<(usize, u64)>, KernelTickStats);
-
-/// `(shard index, stepped shard + per-tick probabilities + per-query
-/// nanoseconds + kernel telemetry | fault)`.
+/// `(shard index, stepped shard + its epoch outputs | fault)`.
 type Reply = (usize, Result<(Shard, SteppedEpoch), EngineError>);
 
-/// [`SteppedEpoch`] recombined across every shard: per-tick rows over
-/// the *global* chain sequence, per-query (dense, indexed) nanosecond
-/// totals, and summed kernel telemetry — what a whole-session stepping
-/// path returns.
-type SteppedSession = (Vec<Vec<f64>>, Vec<u64>, KernelTickStats);
-
-/// Steps every chain in `shard` against the tick's marginals, returning
-/// the per-chain probabilities (shard order), the wall-clock
-/// nanoseconds attributed to each query index (one entry per contiguous
-/// run of a query's chains — shards hold chains in global sequence
-/// order, so a query appears in at most one run per shard), and the
-/// kernel-path counters accumulated while stepping.
+/// Steps every chain in `shard` through one tick's frame, writing the
+/// per-chain probabilities to `probs` (shard order), adding the
+/// wall-clock nanoseconds spent on each query's chains to `query_ns`
+/// (indexed by query), and returning the kernel-path counters
+/// accumulated while stepping.
 ///
 /// `cache` is this tick's symbol-distribution cache: chains with equal
 /// `(streams, syms)` signatures share one union-convolution per tick.
@@ -437,10 +427,12 @@ type SteppedSession = (Vec<Vec<f64>>, Vec<u64>, KernelTickStats);
 /// sequential paths, so both produce bit-identical arithmetic.
 fn step_shard(
     shard: &mut Shard,
-    marginals: &[Marginal],
+    frame: &TickFrame,
     cache: &mut SymCache,
     failpoint: &'static str,
-) -> Result<SteppedShard, EngineError> {
+    probs: &mut [f64],
+    query_ns: &mut [u64],
+) -> Result<KernelTickStats, EngineError> {
     // The batched SoA path produces bit-identical probabilities but
     // collapses per-chain work into lane loops, so it has no natural
     // place for the legacy per-chain `chain_step` spans. When tracing
@@ -449,46 +441,34 @@ fn step_shard(
     if !crate::trace::is_enabled() {
         return crate::soa::step_shard_chains(
             &mut shard.chains,
-            marginals,
+            frame,
             cache,
             failpoint,
             &mut shard.scratch,
+            probs,
+            query_ns,
         );
     }
-    // This scalar loop advances chain masses behind the batched path's
-    // back; tell its scratch so no stale `next` matrix is swapped in as
-    // a later tick's mass.
-    shard.scratch.invalidate_residency();
-    fn elapsed_ns(since: Instant) -> u64 {
-        u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-    let mut probs = Vec::with_capacity(shard.chains.len());
-    let mut query_ns: Vec<(usize, u64)> = Vec::new();
+    // This loop advances chain masses behind the batched path's back;
+    // tell its scratch so no stale `next` matrix is swapped in as a
+    // later tick's mass and the next batched tick plans afresh.
+    shard.scratch.invalidate();
     let mut kernel = KernelTickStats::default();
-    let mut run: Option<(usize, Instant)> = None;
-    for (qi, chain) in &mut shard.chains {
+    for ((qi, chain), p) in shard.chains.iter_mut().zip(probs.iter_mut()) {
         crate::failpoint::check(failpoint)?;
-        match run {
-            Some((q, started)) if q != *qi => {
-                query_ns.push((q, elapsed_ns(started)));
-                run = Some((*qi, Instant::now()));
-            }
-            None => run = Some((*qi, Instant::now())),
-            _ => {}
-        }
+        let started = Instant::now();
         let _span = crate::trace::span("chain_step")
             .with("query", *qi as u64)
             .with("t", u64::from(chain.next_t()));
-        probs.push(chain.step_with_cache(marginals, Some(cache))?);
+        *p = chain.step_frame(frame, Some(cache))?;
         kernel.steps.add(chain.take_kernel_counters());
-    }
-    if let Some((q, started)) = run {
-        query_ns.push((q, elapsed_ns(started)));
+        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        query_ns[*qi] = query_ns[*qi].saturating_add(ns);
     }
     let (sym_hits, sym_misses) = cache.take_counters();
     kernel.sym_hits += sym_hits;
     kernel.sym_misses += sym_misses;
-    Ok((probs, query_ns, kernel))
+    Ok(kernel)
 }
 
 /// Steps every chain in `shard` through every tick of an epoch —
@@ -498,20 +478,26 @@ fn step_shard(
 /// the same marginals, across ticks they never share distributions.
 fn step_shard_epoch(
     shard: &mut Shard,
-    ticks: &[Arc<Vec<Marginal>>],
+    ticks: &[Arc<TickFrame>],
+    n_queries: usize,
     cache: &mut SymCache,
     failpoint: &'static str,
 ) -> Result<SteppedEpoch, EngineError> {
-    let mut probs = Vec::with_capacity(ticks.len());
-    let mut query_ns: Vec<(usize, u64)> = Vec::new();
+    let n = shard.chains.len();
+    let mut probs = vec![0.0; ticks.len() * n];
+    let mut query_ns = vec![0u64; n_queries];
     let mut kernel = KernelTickStats::default();
-    for tick_marginals in ticks {
+    for (j, frame) in ticks.iter().enumerate() {
         cache.begin_tick();
-        let (tick_probs, tick_ns, tick_kernel) =
-            step_shard(shard, tick_marginals, cache, failpoint)?;
-        probs.push(tick_probs);
-        query_ns.extend(tick_ns);
-        kernel.add(&tick_kernel);
+        let tick_probs = &mut probs[j * n..(j + 1) * n];
+        kernel.add(&step_shard(
+            shard,
+            frame,
+            cache,
+            failpoint,
+            tick_probs,
+            &mut query_ns,
+        )?);
     }
     Ok((probs, query_ns, kernel))
 }
@@ -522,7 +508,11 @@ fn step_shard_epoch(
 /// abandoned the epoch (watchdog trip), the send lands on a dropped
 /// receiver and is discarded here.
 fn run_epoch_job(index: usize, job: EpochJob, replies: &Sender<Reply>) {
-    let EpochJob { shard, ticks } = job;
+    let EpochJob {
+        shard,
+        ticks,
+        n_queries,
+    } = job;
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
         let mut shard = shard;
         let _span = crate::trace::span("worker_step")
@@ -530,7 +520,7 @@ fn run_epoch_job(index: usize, job: EpochJob, replies: &Sender<Reply>) {
             .with("chains", shard.chains.len() as u64)
             .with("ticks", ticks.len() as u64);
         let stepped = crate::pool::with_sym_cache(|cache| {
-            step_shard_epoch(&mut shard, &ticks, cache, "worker_step")
+            step_shard_epoch(&mut shard, &ticks, n_queries, cache, "worker_step")
         })?;
         Ok::<_, EngineError>((shard, stepped))
     }));
@@ -560,6 +550,12 @@ pub struct RealTimeSession {
     shards: Vec<Option<Shard>>,
     total_chains: usize,
     config: SessionConfig,
+    /// Shard count the parallel path uses: [`effective_workers_of`] the
+    /// config, resolved once — looking up the available cores reads
+    /// cgroup files, which costs more than a whole sequential tick's
+    /// routing. Decoupled from the shared pool's thread count: shards
+    /// are a per-session partition, threads a per-process budget.
+    workers: usize,
     /// Set when a tick fault lost chain state (worker panic, injected
     /// error, watchdog timeout, or sequential-path panic). A poisoned
     /// session refuses every mutating entry point until
@@ -582,14 +578,14 @@ pub struct RealTimeSession {
     /// The most recent checkpoint (manual or automatic); the fast
     /// restore base for [`RealTimeSession::recover`].
     last_checkpoint: Option<Checkpoint>,
-    /// Marginals of every tick closed since `last_checkpoint`
+    /// Frames of every tick closed since `last_checkpoint`
     /// (`replay_log[i]` belongs to tick `replay_base + i`, including the
     /// currently failed tick when poisoned). Truncated at each
     /// checkpoint, so auto-checkpointing bounds it to
     /// [`SessionConfig::checkpoint_interval`] entries. Only maintained
     /// once a checkpoint exists: before that, recovery replays from the
     /// database's recorded history instead.
-    replay_log: Vec<Arc<Vec<Marginal>>>,
+    replay_log: Vec<Arc<TickFrame>>,
     /// Tick index of `replay_log[0]`.
     replay_base: u32,
     stats: EngineStats,
@@ -601,6 +597,15 @@ pub struct RealTimeSession {
     /// Symbol-distribution cache for the sequential tick path (workers
     /// own their own); cleared once per tick, arena reused across ticks.
     sym_cache: SymCache,
+    /// Tick frames no epoch or replay log holds any more, reused by the
+    /// next epoch instead of allocating.
+    spare_frames: Vec<TickFrame>,
+    /// Per-chain probabilities of the epoch being closed (tick-major,
+    /// global sequence order), reused across epochs.
+    epoch_probs: Vec<f64>,
+    /// Wall-clock nanoseconds per query index of the epoch being
+    /// closed, reused across epochs.
+    epoch_query_ns: Vec<u64>,
     t: u32,
 }
 
@@ -639,6 +644,7 @@ impl RealTimeSession {
                 scratch: crate::soa::SoaScratch::default(),
             })],
             total_chains: 0,
+            workers: effective_workers_of(&config),
             config,
             poisoned: false,
             epoch_in_flight: 0,
@@ -650,6 +656,9 @@ impl RealTimeSession {
             stats,
             metrics_server,
             sym_cache: SymCache::new(),
+            spare_frames: Vec::new(),
+            epoch_probs: Vec::new(),
+            epoch_query_ns: Vec::new(),
             t: 0,
         })
     }
@@ -725,13 +734,6 @@ impl RealTimeSession {
         }
     }
 
-    /// Shard count the parallel path would use. Decoupled from the
-    /// shared pool's thread count: shards are a per-session partition,
-    /// threads a per-process budget.
-    fn effective_workers(&self) -> usize {
-        effective_workers_of(&self.config)
-    }
-
     /// Whether the configured [`TickMode`] asks for the parallel path,
     /// before the degraded-mode override. An epoch actually runs
     /// parallel only when this holds *and* the session is not degraded;
@@ -742,7 +744,7 @@ impl RealTimeSession {
             TickMode::Sequential => false,
             TickMode::Parallel => true,
             TickMode::Auto => {
-                self.effective_workers() > 1 && self.total_chains >= self.config.parallel_threshold
+                self.workers > 1 && self.total_chains >= self.config.parallel_threshold
             }
         }
     }
@@ -893,11 +895,7 @@ impl RealTimeSession {
     /// [`RealTimeSession::stream_id`]) or a schema-identical clone of
     /// it, such as the manifest the session was loaded from.
     pub fn stage(&mut self, stream: StreamId, marginal: Marginal) -> Result<(), EngineError> {
-        self.ensure_live()?;
-        self.check_stageable(stream, &marginal)?;
-        self.staged[stream.index()] = Some(marginal);
-        self.stats.record_staged(1);
-        Ok(())
+        self.stage_batch([(stream, marginal)])
     }
 
     /// The validation half of [`RealTimeSession::stage`], shared with
@@ -928,10 +926,16 @@ impl RealTimeSession {
         &mut self,
         marginals: impl IntoIterator<Item = (StreamId, Marginal)>,
     ) -> Result<(), EngineError> {
-        for (stream, marginal) in marginals {
-            self.stage(stream, marginal)?;
-        }
-        Ok(())
+        self.ensure_live()?;
+        let mut staged = 0;
+        let outcome = marginals.into_iter().try_for_each(|(stream, marginal)| {
+            self.check_stageable(stream, &marginal)?;
+            self.staged[stream.index()] = Some(marginal);
+            staged += 1;
+            Ok(())
+        });
+        self.stats.record_staged(staged);
+        outcome
     }
 
     /// [`RealTimeSession::stage`] addressed by raw stream index.
@@ -1031,48 +1035,69 @@ impl RealTimeSession {
                 self.check_stageable(*stream, marginal)?;
             }
         }
-        let mut epoch: Vec<Arc<Vec<Marginal>>> = Vec::with_capacity(k);
+        let mut epoch: Vec<Arc<TickFrame>> = Vec::with_capacity(k);
         for batch in ticks {
             self.stats.record_staged(batch.len() as u64);
             for (stream, marginal) in batch {
                 self.staged[stream.index()] = Some(marginal);
             }
-            let mut tick_marginals = Vec::with_capacity(self.staged.len());
-            for idx in 0..self.staged.len() {
-                let marginal = self.staged[idx]
-                    .take()
-                    .unwrap_or_else(|| Marginal::all_bottom(self.db.streams()[idx].domain()));
-                self.db.push_marginal_at(idx, marginal.clone())?;
-                tick_marginals.push(marginal);
+            let mut frame = match self.spare_frames.pop() {
+                Some(frame) => frame,
+                None => {
+                    TickFrame::new(self.db.streams().iter().map(|s| s.domain().len()).collect())
+                }
+            };
+            for (slot, stream) in self.staged.iter_mut().zip(self.db.streams()) {
+                slot.get_or_insert_with(|| Marginal::all_bottom(stream.domain()));
             }
-            let marginals = Arc::new(tick_marginals);
+            frame.fill(|s| self.staged[s].as_ref().map_or(&[], |m| m.probs()));
+            // Moved, not cloned: the frame already holds the numbers.
+            for idx in 0..self.staged.len() {
+                let marginal = self.staged[idx].take().expect("every stream staged above");
+                self.db.push_marginal_at(idx, marginal)?;
+            }
+            let frame = Arc::new(frame);
             if self.last_checkpoint.is_some() {
                 // Appended before stepping so the marginals of an epoch
                 // that faults mid-step are already available to
                 // recover().
-                self.replay_log.push(marginals.clone());
+                self.replay_log.push(frame.clone());
             }
-            epoch.push(marginals);
+            epoch.push(frame);
         }
         let wants_parallel = self.wants_parallel();
         // Degraded mode overrides every `TickMode`: after a watchdog
         // timeout the pool is not trusted until clear_degraded().
         let parallel = wants_parallel && !self.degraded;
         self.epoch_in_flight = k as u32;
-        let (probs, query_ns, kernel) = if parallel {
-            self.step_chains_parallel(&epoch)?
+        let total = self.total_chains;
+        let mut probs = std::mem::take(&mut self.epoch_probs);
+        probs.clear();
+        probs.resize(k * total, 0.0);
+        let mut query_ns = std::mem::take(&mut self.epoch_query_ns);
+        query_ns.clear();
+        query_ns.resize(self.queries.len(), 0);
+        let kernel = if parallel {
+            self.step_chains_parallel(&epoch, &mut probs, &mut query_ns)?
         } else {
-            self.step_chains_sequential(&epoch)?
+            self.step_chains_sequential(&epoch, &mut probs, &mut query_ns)?
         };
         // A fault above returns early, leaving `epoch_in_flight` set for
         // recover(); reaching here means every tick of the epoch closed.
         self.epoch_in_flight = 0;
+        // Frames nothing else holds any more (no replay log, no worker)
+        // serve the next epoch.
+        self.spare_frames.extend(
+            epoch
+                .into_iter()
+                .filter_map(|frame| Arc::try_unwrap(frame).ok()),
+        );
         self.stats.record_kernel(&kernel);
         self.stats.record_epoch(k as u64);
         let per_tick_elapsed = started.elapsed() / k as u32;
         let mut alerts = Vec::with_capacity(k * self.queries.len());
-        for tick_probs in &probs {
-            let tick_alerts = self.combine_alerts(tick_probs, self.t);
+        for j in 0..k {
+            let tick_alerts = self.combine_alerts(&probs[j * total..(j + 1) * total], self.t);
             self.t += 1;
             self.stats
                 .record_tick(per_tick_elapsed, self.total_chains as u64, parallel);
@@ -1090,6 +1115,8 @@ impl RealTimeSession {
                 }));
             alerts.extend(tick_alerts);
         }
+        self.epoch_probs = probs;
+        self.epoch_query_ns = query_ns;
         Ok(alerts)
     }
 
@@ -1120,52 +1147,51 @@ impl RealTimeSession {
             .collect()
     }
 
-    /// Steps every chain in place, returning per-chain probabilities in
-    /// global sequence order. Uses the same staged-marginal arithmetic
-    /// as the worker path ([`ChainEvaluator::step_with_marginals`]), so
-    /// both paths produce bit-identical answers. A panic or injected
-    /// error mid-loop leaves unknown chains half-stepped, so the whole
-    /// chain set is dropped and the session poisoned — recover() then
-    /// rebuilds everything.
+    /// Steps every chain in place, writing per-chain probabilities to
+    /// `probs` (tick-major, global sequence order) and per-query
+    /// nanoseconds to `query_ns`. Uses the same frame arithmetic as the
+    /// worker path ([`step_shard`]), so both paths produce bit-identical
+    /// answers. A panic or injected error mid-loop leaves unknown chains
+    /// half-stepped, so the whole chain set is dropped and the session
+    /// poisoned — recover() then rebuilds everything.
     fn step_chains_sequential(
         &mut self,
-        epoch: &[Arc<Vec<Marginal>>],
-    ) -> Result<SteppedSession, EngineError> {
+        epoch: &[Arc<TickFrame>],
+        probs: &mut [f64],
+        query_ns: &mut [u64],
+    ) -> Result<KernelTickStats, EngineError> {
         let n_shards = self.shards.len();
         let mut shards = std::mem::take(&mut self.shards);
         let total = self.total_chains;
-        let n_queries = self.queries.len();
         let cache = &mut self.sym_cache;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut epoch_probs = Vec::with_capacity(epoch.len());
-            let mut query_ns = vec![0u64; n_queries];
             let mut kernel = KernelTickStats::default();
-            for tick_marginals in epoch {
+            for (j, frame) in epoch.iter().enumerate() {
                 // One cache generation per tick, shared by every shard:
                 // within a tick all chains step against the same staged
                 // marginals, so equal signatures mean equal
                 // distributions across shards too.
                 cache.begin_tick();
-                let mut probs = vec![0.0; total];
+                let row = &mut probs[j * total..(j + 1) * total];
                 for slot in &mut shards {
                     let shard = slot.as_mut().expect("all shards home between ticks");
-                    let (shard_probs, shard_ns, shard_kernel) =
-                        step_shard(shard, tick_marginals, cache, "sequential_step")?;
-                    probs[shard.start..shard.start + shard_probs.len()]
-                        .copy_from_slice(&shard_probs);
-                    for (qi, ns) in shard_ns {
-                        query_ns[qi] = query_ns[qi].saturating_add(ns);
-                    }
-                    kernel.add(&shard_kernel);
+                    let range = shard.start..shard.start + shard.chains.len();
+                    kernel.add(&step_shard(
+                        shard,
+                        frame,
+                        cache,
+                        "sequential_step",
+                        &mut row[range],
+                        query_ns,
+                    )?);
                 }
-                epoch_probs.push(probs);
             }
-            Ok::<_, EngineError>((epoch_probs, query_ns, kernel))
+            Ok::<_, EngineError>(kernel)
         }));
         match outcome {
-            Ok(Ok(stepped)) => {
+            Ok(Ok(kernel)) => {
                 self.shards = shards;
-                Ok(stepped)
+                Ok(kernel)
             }
             Ok(Err(e)) => {
                 self.shards = (0..n_shards).map(|_| None).collect();
@@ -1196,9 +1222,11 @@ impl RealTimeSession {
     /// receiver instead of a later epoch's join.
     fn step_chains_parallel(
         &mut self,
-        epoch: &[Arc<Vec<Marginal>>],
-    ) -> Result<SteppedSession, EngineError> {
-        self.ensure_shards(self.effective_workers());
+        epoch: &[Arc<TickFrame>],
+        probs: &mut [f64],
+        query_ns: &mut [u64],
+    ) -> Result<KernelTickStats, EngineError> {
+        self.ensure_shards(self.workers);
         let k = epoch.len();
         let deadline = self
             .config
@@ -1216,14 +1244,14 @@ impl RealTimeSession {
             let job = EpochJob {
                 shard,
                 ticks: epoch.to_vec(),
+                n_queries: self.queries.len(),
             };
             let reply_tx = reply_tx.clone();
             crate::pool::spawn(move || run_epoch_job(w, job, &reply_tx));
             in_flight += 1;
         }
         drop(reply_tx);
-        let mut probs = vec![vec![0.0; self.total_chains]; k];
-        let mut query_ns = vec![0u64; self.queries.len()];
+        let total = self.total_chains;
         let mut kernel = KernelTickStats::default();
         let mut first_error: Option<EngineError> = None;
         let mut timed_out = false;
@@ -1240,12 +1268,13 @@ impl RealTimeSession {
             };
             match reply {
                 Ok((w, Ok((shard, (shard_probs, shard_ns, shard_kernel))))) => {
-                    for (j, tick_probs) in shard_probs.iter().enumerate() {
-                        probs[j][shard.start..shard.start + tick_probs.len()]
-                            .copy_from_slice(tick_probs);
+                    let n = shard.chains.len();
+                    for j in 0..k {
+                        let at = j * total + shard.start;
+                        probs[at..at + n].copy_from_slice(&shard_probs[j * n..(j + 1) * n]);
                     }
-                    for (qi, ns) in shard_ns {
-                        query_ns[qi] = query_ns[qi].saturating_add(ns);
+                    for (total_ns, ns) in query_ns.iter_mut().zip(shard_ns) {
+                        *total_ns = total_ns.saturating_add(ns);
                     }
                     kernel.add(&shard_kernel);
                     self.shards[w] = Some(shard);
@@ -1287,7 +1316,7 @@ impl RealTimeSession {
             }
             return Err(e);
         }
-        Ok((probs, query_ns, kernel))
+        Ok(kernel)
     }
 
     /// Snapshots the complete session — per-chain forward distributions
@@ -1511,8 +1540,8 @@ impl RealTimeSession {
                 .checked_sub(self.replay_base)
                 .and_then(|d| self.replay_log.get(d as usize));
             match log_entry {
-                Some(ms) => {
-                    chain.step_with_marginals(ms)?;
+                Some(frame) => {
+                    chain.step_frame(frame, None)?;
                 }
                 None => {
                     chain.step(&self.db);

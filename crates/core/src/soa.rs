@@ -17,6 +17,19 @@
 //! lanes — autovectorizable, or dispatched to the explicit AVX2/SSE2
 //! kernels in [`crate::simd`].
 //!
+//! # Per-tick work
+//!
+//! * **Plan once.** The partition into batches depends only on each
+//!   chain's batch eligibility and local numbering, so a shard's plan is
+//!   kept while every chain's [`ChainEvaluator::soa_stamp`] is unchanged
+//!   — every tick once discovery has settled — and each batch keeps its
+//!   cross-tick caches (shape, transition columns, resident mass).
+//! * **Fill outcome-major.** Batches whose lanes each read one stream
+//!   through the same outcome table fill `pmat` straight from the tick's
+//!   [`TickFrame`]: for each outcome `d`, frame row `d` is added into
+//!   `pmat` row `slot_of[d]` across all lanes — one slice add when the
+//!   lanes' streams are contiguous, a gather otherwise.
+//!
 //! # Bit-identity
 //!
 //! The engine guarantees bit-identical results across stepping paths,
@@ -25,33 +38,36 @@
 //! * Per lane, contributions to each target state are applied in
 //!   `(state ascending, dist entry ascending)` order — the same order
 //!   as the scalar loop, because each lane's distribution is a sorted
-//!   subsequence of the sorted union support.
+//!   subsequence of the sorted union support — and each `pmat` cell
+//!   sums its outcomes in ascending order, as the scalar convolution
+//!   merges them.
 //! * Union-support entries a lane doesn't have get probability `+0.0`,
-//!   and zero-mass rows are routed rather than skipped. All masses and
-//!   probabilities are non-negative, so every such contribution is
-//!   exactly `+0.0`, and `x + 0.0` is bit-identical to `x` for every
-//!   non-negative `x` — padding is invisible at the bit level.
+//!   and zero-mass rows are routed rather than skipped, so padding only
+//!   ever adds `±0.0`. Every accumulator starts at `+0.0` and so is
+//!   never `-0.0` (a sum that cancels rounds to `+0.0`), and adding
+//!   `±0.0` to anything but `-0.0` changes no bit — padding is
+//!   invisible, tiny negative probabilities (which `validate_dist`
+//!   admits) included.
 //! * The SIMD kernels are element-wise multiply-then-add (never FMA),
 //!   so each lane's arithmetic is IEEE-identical to scalar.
 //!
 //! A batch only takes the fast path when every transition out of an
-//! *occupied* state lands in the lanes' existing local numbering; a
-//! transition that would have to discover a new local state makes the
-//! whole batch fall back to per-chain scalar stepping for that tick
-//! (which performs the discovery in per-chain order, exactly as the
-//! scalar engine would have). In steady state — the automaton's reachable
-//! closure discovered, which the freeze heuristics reach within a few
-//! ticks — every tick takes the fast path.
+//! *occupied* state lands in the lanes' existing local numbering. A
+//! transition that would have to discover a new local state triggers a
+//! per-lane discovery pass in the exact scalar order, after which the
+//! batch retries; lanes whose numberings diverge are split into
+//! sub-batches or stepped scalar for that tick. In steady state — the
+//! automaton's reachable closure discovered, which the freeze
+//! heuristics reach within a few ticks — every tick takes the fast path.
 //!
 //! When span tracing is enabled the shard steps chains scalar so the
 //! per-chain `chain_step` spans keep their exact legacy shape.
 
-use crate::chain::ChainEvaluator;
+use crate::chain::{ChainEvaluator, TickFrame};
 use crate::error::EngineError;
 use crate::kernel::{KernelTickStats, SymCache, Via, UNKNOWN};
 use crate::simd;
 use lahar_automata::SymbolSet;
-use lahar_model::Marginal;
 use std::time::Instant;
 
 /// Below this many lanes a batch isn't worth its per-tick setup
@@ -68,26 +84,36 @@ const LANE_BLOCK: usize = 64;
 /// to worker threads); holds no chain state — chains remain the single
 /// source of truth between ticks, so checkpoint export/restore is
 /// untouched by batching.
+///
+/// The scratch belongs to one shard's chain list: the session gives a
+/// shard a fresh scratch whenever it rebuilds the list (repartition,
+/// restore, recovery).
 #[derive(Default)]
 pub(crate) struct SoaScratch {
     groups: Vec<Group>,
-    /// Chain indices stepped scalar this tick (non-independent, forced
+    /// Chain indices stepped scalar (non-independent, forced
     /// interpreter, or in a group below [`MIN_LANES`]).
     singles: Vec<usize>,
-    /// Per-chain `(automaton ptr, layout fingerprint, syms fingerprint)`
-    /// from the plan pass.
-    keys: Vec<Option<(usize, u64, u64)>>,
+    /// Per chain, its [`ChainEvaluator::soa_stamp`] when `groups` and
+    /// `singles` were planned. The plan stands while every stamp still
+    /// matches; empty means no plan.
+    stamps: Vec<Option<u64>>,
     /// Monotone batched-tick counter; see [`Group::commit_seq`].
     seq: u64,
+    /// How many times a plan was built (read by unit tests).
+    #[cfg(test)]
+    plans_built: u64,
 }
 
 impl SoaScratch {
     /// Marks that chain masses advanced outside the batched path (the
     /// tracing-mode scalar loop steps chains directly): any `next`
     /// matrix a group still holds no longer mirrors its chains, so the
-    /// next batched tick must re-gather instead of swapping it in.
-    pub(crate) fn invalidate_residency(&mut self) {
+    /// next batched tick must re-gather instead of swapping it in, and
+    /// it plans afresh.
+    pub(crate) fn invalidate(&mut self) {
         self.seq = self.seq.wrapping_add(1);
+        self.stamps.clear();
     }
 }
 
@@ -101,6 +127,9 @@ struct Group {
     syms_hash: u64,
     /// Chain indices (shard order) — the lanes.
     lanes: Vec<usize>,
+    /// `(query index, lane count)` per run of one query's lanes, for
+    /// apportioning the group's wall time per query.
+    lane_queries: Vec<(usize, u64)>,
     /// Per lane: this tick's distribution index in the symbol cache.
     dist_idx: Vec<u32>,
     /// Sorted union of the lanes' distribution supports.
@@ -140,8 +169,11 @@ struct Group {
     shape_lanes: Vec<usize>,
     /// Cached [`single_stream_shape`] verdict for `shape_lanes`.
     shape_uniform: bool,
-    /// Uniform shape: per lane, its single stream's marginal index.
+    /// Uniform shape: per lane, its single stream's index in the frame.
     stream_idx: Vec<u32>,
+    /// Uniform shape: `Some(s0)` when `stream_idx` is `s0, s0 + 1, …`, so
+    /// a frame row fills a `pmat` row with one slice add.
+    stream_base: Option<usize>,
     /// Accepting local states (ascending), rebuilt with the layout.
     acc_rows: Vec<u32>,
     /// Per support entry: does any lane carry nonzero probability on it?
@@ -188,30 +220,26 @@ fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// What one shard tick hands back: per-chain accept probabilities,
-/// per-query `(query, ns)` wall-time attribution, and kernel counters.
-pub(crate) type ShardStepOutput = (Vec<f64>, Vec<(usize, u64)>, KernelTickStats);
-
-/// Steps every chain in the shard against one tick's marginals —
-/// batched where layouts allow, scalar otherwise. Drop-in replacement
-/// for the scalar per-chain loop: returns the same `(probs, query_ns,
-/// kernel stats)` triple, with per-batch wall time apportioned evenly
-/// across a batch's lanes for the per-query attribution.
+/// Steps every chain in the shard through one tick's frame — batched
+/// where layouts allow, scalar otherwise — writing each chain's accept
+/// probability to `probs` (shard order) and adding each query's wall
+/// time to `query_ns` (indexed by query; a batch's time is apportioned
+/// evenly across its lanes). Returns the tick's kernel counters.
 pub(crate) fn step_shard_chains(
     chains: &mut [(usize, ChainEvaluator)],
-    marginals: &[Marginal],
+    frame: &TickFrame,
     cache: &mut SymCache,
     failpoint: &'static str,
     scratch: &mut SoaScratch,
-) -> Result<ShardStepOutput, EngineError> {
+    probs: &mut [f64],
+    query_ns: &mut [u64],
+) -> Result<KernelTickStats, EngineError> {
     // The batch path checks all failpoints up front (a faulted tick
     // mutates no chain at all — strictly cleaner than the scalar path's
     // partial progress; recovery semantics are identical either way).
     for _ in chains.iter() {
         crate::failpoint::check(failpoint)?;
     }
-    let mut probs = vec![0.0f64; chains.len()];
-    let mut query_ns: Vec<(usize, u64)> = Vec::new();
     let mut kernel = KernelTickStats::default();
 
     plan_groups(chains, scratch);
@@ -220,55 +248,61 @@ pub(crate) fn step_shard_chains(
 
     // Step the batches (each group is homogeneous in layout, not
     // necessarily in query, so per-query time is apportioned per lane).
-    let mut groups = std::mem::take(&mut scratch.groups);
-    for g in &mut groups {
+    for g in &mut scratch.groups {
         let started = Instant::now();
-        step_group(
-            g,
-            chains,
-            marginals,
-            cache,
-            &mut kernel,
-            &mut probs,
-            seq,
-            true,
-        )?;
+        step_group(g, chains, frame, cache, &mut kernel, probs, seq, true)?;
         let per_lane = elapsed_ns(started) / g.lanes.len().max(1) as u64;
-        for &idx in &g.lanes {
-            query_ns.push((chains[idx].0, per_lane));
+        for &(qi, n) in &g.lane_queries {
+            query_ns[qi] = query_ns[qi].saturating_add(per_lane * n);
         }
     }
-    scratch.groups = groups;
 
     // Step the leftovers scalar, exactly like the legacy loop.
-    let singles = std::mem::take(&mut scratch.singles);
-    for &idx in &singles {
+    for &idx in &scratch.singles {
         let started = Instant::now();
         let (qi, chain) = &mut chains[idx];
-        probs[idx] = chain.step_with_cache(marginals, Some(cache))?;
+        probs[idx] = chain.step_frame(frame, Some(cache))?;
         kernel.steps.add(chain.take_kernel_counters());
-        query_ns.push((*qi, elapsed_ns(started)));
+        query_ns[*qi] = query_ns[*qi].saturating_add(elapsed_ns(started));
     }
-    scratch.singles = singles;
 
     let (sym_hits, sym_misses) = cache.take_counters();
     kernel.sym_hits += sym_hits;
     kernel.sym_misses += sym_misses;
-    Ok((probs, query_ns, kernel))
+    Ok(kernel)
 }
 
 /// Partitions the shard's chains into layout-homogeneous groups plus a
-/// scalar leftover list, reusing the scratch's allocations.
+/// scalar leftover list, reusing the scratch's allocations. The plan
+/// only depends on each chain's batch eligibility and local numbering,
+/// so it is kept while every chain's [`ChainEvaluator::soa_stamp`] is
+/// unchanged — in steady state, every tick — and group slots keep their
+/// cross-tick caches (shape, transition columns, residency).
 fn plan_groups(chains: &[(usize, ChainEvaluator)], scratch: &mut SoaScratch) {
+    if scratch.stamps.len() == chains.len()
+        && !chains.is_empty()
+        && chains
+            .iter()
+            .zip(&scratch.stamps)
+            .all(|((_, chain), &stamp)| chain.soa_stamp() == stamp)
+    {
+        return;
+    }
+    #[cfg(test)]
+    {
+        scratch.plans_built += 1;
+    }
+    scratch.stamps.clear();
+    scratch
+        .stamps
+        .extend(chains.iter().map(|(_, chain)| chain.soa_stamp()));
     for g in &mut scratch.groups {
         g.lanes.clear();
     }
     scratch.singles.clear();
-    scratch.keys.clear();
     for (idx, (_, chain)) in chains.iter().enumerate() {
         let Some(desc) = chain.soa_descriptor() else {
             scratch.singles.push(idx);
-            scratch.keys.push(None);
             continue;
         };
         let key = (
@@ -276,7 +310,6 @@ fn plan_groups(chains: &[(usize, ChainEvaluator)], scratch: &mut SoaScratch) {
             chain.layout_fp().expect("SoA-eligible chain"),
             chain.syms_fingerprint(),
         );
-        scratch.keys.push(Some(key));
         // Linear scan: group counts stay small (one per automaton ×
         // layout variant × query symbol table present in the shard).
         let found = scratch.groups.iter_mut().find(|g| {
@@ -318,6 +351,16 @@ fn plan_groups(chains: &[(usize, ChainEvaluator)], scratch: &mut SoaScratch) {
     scratch.groups.retain(|g| !g.lanes.is_empty());
     // Keep the scalar leftovers in shard order (append may interleave).
     scratch.singles.sort_unstable();
+    for g in &mut scratch.groups {
+        g.lane_queries.clear();
+        for &idx in &g.lanes {
+            let qi = chains[idx].0;
+            match g.lane_queries.last_mut() {
+                Some((q, n)) if *q == qi => *n += 1,
+                _ => g.lane_queries.push((qi, 1)),
+            }
+        }
+    }
 }
 
 /// The shared outcome → symbol-set table when every lane of the group
@@ -345,7 +388,7 @@ fn single_stream_shape<'c>(
 fn step_group(
     g: &mut Group,
     chains: &mut [(usize, ChainEvaluator)],
-    marginals: &[Marginal],
+    frame: &TickFrame,
     cache: &mut SymCache,
     kernel: &mut KernelTickStats,
     probs: &mut [f64],
@@ -364,13 +407,13 @@ fn step_group(
     // through the same outcome → symbol-set table. The single-stream
     // union-convolution is then just that mapping, so the support is the
     // table's sorted distinct symbols (fixed for the group) and each
-    // lane's probabilities come straight from its staged marginal — no
+    // lane's probabilities come straight from the tick frame — no
     // signature hashing, no per-chain cache entry. Bit-identity: the
     // scalar convolution pushes `(syms[d], 1.0 * p_d)` in outcome order,
     // stable-sorts, and merges left-to-right, which is exactly
-    // `pmat[slot_of[d]] += p_d` in ascending `d` (`1.0 * x == x` and
-    // `0.0 + x == x` for the non-negative `x` involved; zero-probability
-    // outcomes are skipped by both paths).
+    // `pmat[slot_of[d]] += p_d` in ascending `d` (`1.0 * x == x`, and
+    // `0.0 + x == x` for every nonzero `x`; the scalar path skips ±0.0
+    // outcomes, which add nothing to a +0.0-started sum here).
     // Shape revalidation is a single lane-list compare in steady state:
     // symbol tables are fixed per (query, binding), so the uniformity
     // verdict, per-lane stream indices, union support, and slot map all
@@ -405,6 +448,11 @@ fn step_group(
                 let (si, _) = chains[idx].1.soa_single_stream().expect("uniform lane");
                 g.stream_idx.push(si as u32);
             }
+            g.stream_base = g
+                .stream_idx
+                .windows(2)
+                .all(|w| w[1] == w[0] + 1)
+                .then(|| g.stream_idx[0] as usize);
         } else {
             support_same = false;
         }
@@ -415,18 +463,38 @@ fn step_group(
     g.active.clear();
     g.pmat.clear();
     if is_uniform {
+        // Outcome-major: frame row `d` lands in `pmat` row `slot_of[d]`
+        // across all lanes at once, so each lane still sums its
+        // outcomes in ascending `d` from +0.0. A row that is ±0.0 in
+        // every lane is skipped — adding it would change no bit, since
+        // a sum started at +0.0 is never -0.0. `active` is taken from
+        // the inputs, not from the sums: tiny negative probabilities
+        // (which `validate_dist` admits) can cancel to a zero sum on an
+        // outcome the scalar path still routes.
         let s_len = g.support.len();
         g.active.resize(s_len, false);
         g.pmat.resize(s_len * lanes, 0.0);
-        for (lane, &si) in g.stream_idx.iter().enumerate() {
-            let probs = marginals[si as usize].probs();
-            for (d, &pd) in probs.iter().enumerate().take(g.slot_of.len()) {
-                if pd == 0.0 {
-                    continue;
+        for (d, &slot) in g.slot_of.iter().enumerate() {
+            let slot = slot as usize;
+            let row = frame.row(d);
+            let dst = &mut g.pmat[slot * lanes..(slot + 1) * lanes];
+            match g.stream_base {
+                Some(s0) => {
+                    let src = &row[s0..s0 + lanes];
+                    if src.iter().any(|&p| p != 0.0) {
+                        simd::add_lanes(dst, src);
+                        g.active[slot] = true;
+                    }
                 }
-                let slot = g.slot_of[d] as usize;
-                g.pmat[slot * lanes + lane] += pd;
-                g.active[slot] = true;
+                None => {
+                    let mut any = false;
+                    for (x, &si) in dst.iter_mut().zip(&g.stream_idx) {
+                        let p = row[si as usize];
+                        *x += p;
+                        any |= p != 0.0;
+                    }
+                    g.active[slot] |= any;
+                }
             }
         }
     } else {
@@ -439,8 +507,7 @@ fn step_group(
         g.support.clear();
         g.dist_idx.clear();
         for &idx in &g.lanes {
-            g.dist_idx
-                .push(chains[idx].1.sym_dist_index(marginals, cache));
+            g.dist_idx.push(chains[idx].1.sym_dist_index(frame, cache));
         }
         g.uniq.clear();
         g.uniq.extend_from_slice(&g.dist_idx);
@@ -645,14 +712,30 @@ fn step_group(
             discovered = true;
             // Discovery pass: per lane, in the exact scalar order, so
             // the refreshed numbering is bit-for-bit what a scalar tick
-            // would have produced.
+            // would have produced. A lane's entries are those of its
+            // scalar distribution: the symbols of its nonzero inputs
+            // (uniform shape), or its cached distribution as is.
             let mut act: Vec<SymbolSet> = Vec::with_capacity(s_len);
+            let mut hit = vec![false; s_len];
             for (lane, &idx) in g.lanes.iter().enumerate() {
                 act.clear();
-                for (di, &sym) in g.support.iter().enumerate() {
-                    if g.pmat[di * lanes + lane] != 0.0 {
-                        act.push(sym);
+                if is_uniform {
+                    hit.fill(false);
+                    let si = g.stream_idx[lane] as usize;
+                    for (d, &slot) in g.slot_of.iter().enumerate() {
+                        if frame.row(d)[si] != 0.0 {
+                            hit[slot as usize] = true;
+                        }
                     }
+                    act.extend(
+                        g.support
+                            .iter()
+                            .zip(&hit)
+                            .filter(|(_, &h)| h)
+                            .map(|(&sym, _)| sym),
+                    );
+                } else {
+                    act.extend(cache.dist(g.dist_idx[lane]).iter().map(|&(sym, _)| sym));
                 }
                 let (_, chain) = &mut chains[idx];
                 chain.soa_discover(&act);
@@ -694,9 +777,7 @@ fn step_group(
                     }
                 }
                 for (_, mut sub) in parts {
-                    step_group(
-                        &mut sub, chains, marginals, cache, kernel, probs, seq, false,
-                    )?;
+                    step_group(&mut sub, chains, frame, cache, kernel, probs, seq, false)?;
                 }
                 g.commit_seq = 0;
                 return Ok(());
@@ -707,7 +788,7 @@ fn step_group(
         g.commit_seq = 0;
         for &idx in &g.lanes {
             let (_, chain) = &mut chains[idx];
-            probs[idx] = chain.step_with_cache(marginals, Some(cache))?;
+            probs[idx] = chain.step_frame(frame, Some(cache))?;
             kernel.steps.add(chain.take_kernel_counters());
         }
         return Ok(());
@@ -771,6 +852,135 @@ fn step_group(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lahar_model::{Database, StreamBuilder};
+    use lahar_query::{parse_query, NormalQuery};
+
+    const PEOPLE: usize = 6;
+
+    /// `PEOPLE` empty independent `At` streams over `a, h, c` (+ ⊥) and
+    /// one grounded `a ; c` chain per person: one automaton, one symbol
+    /// table, so all of them plan into a single group.
+    fn people_chains() -> (Database, Vec<(usize, ChainEvaluator)>) {
+        let mut db = Database::new();
+        db.declare_stream("At", &["person"], &["loc"]).unwrap();
+        let i = db.interner().clone();
+        for p in 0..PEOPLE {
+            let b = StreamBuilder::new(&i, "At", &[&format!("p{p}")], &["a", "h", "c"]);
+            db.add_stream(b.independent(vec![]).unwrap()).unwrap();
+        }
+        let chains = (0..PEOPLE).map(|p| (0, person_chain(&db, p))).collect();
+        (db, chains)
+    }
+
+    fn person_chain(db: &Database, p: usize) -> ChainEvaluator {
+        let q = parse_query(db.interner(), &format!("At('p{p}','a') ; At('p{p}','c')")).unwrap();
+        ChainEvaluator::new(db, &NormalQuery::from_query(&q).items).unwrap()
+    }
+
+    /// A frame where every stream has probability `a` on `a` (the rest
+    /// on ⊥).
+    fn frame(db: &Database, a: f64) -> TickFrame {
+        let marginals: Vec<Vec<f64>> = db
+            .streams()
+            .iter()
+            .map(|s| {
+                let mut probs = vec![0.0; s.domain().len()];
+                probs[0] = a;
+                probs[s.domain().bottom()] = 1.0 - a;
+                probs
+            })
+            .collect();
+        let mut frame = TickFrame::new(marginals.iter().map(Vec::len).collect());
+        frame.fill(|s| &marginals[s]);
+        frame
+    }
+
+    /// Steps one tick and returns how many plans the scratch has built.
+    fn tick(
+        chains: &mut [(usize, ChainEvaluator)],
+        frame: &TickFrame,
+        scratch: &mut SoaScratch,
+    ) -> u64 {
+        let mut cache = SymCache::new();
+        cache.begin_tick();
+        let mut probs = vec![0.0; chains.len()];
+        let mut query_ns = vec![0; 1];
+        step_shard_chains(
+            chains,
+            frame,
+            &mut cache,
+            "sequential_step",
+            scratch,
+            &mut probs,
+            &mut query_ns,
+        )
+        .unwrap();
+        scratch.plans_built
+    }
+
+    /// The plan is kept while no chain changes and rebuilt after each
+    /// event that can change it: a state discovery, a changed chain list
+    /// (what a repartition hands a shard), a `force_interpreter` toggle
+    /// and an explicit invalidation (the tracing-mode scalar loop).
+    #[test]
+    fn cached_plan_is_rebuilt_exactly_when_a_chain_changes() {
+        let (db, mut chains) = people_chains();
+        let mut scratch = SoaScratch::default();
+        let bottom = frame(&db, 0.0);
+        let some_a = frame(&db, 0.5);
+
+        // A first tick plans; the first ⊥ steps out of the initial state
+        // discover the ⊥-only states, after which ⊥ discovers nothing and
+        // the plan is kept.
+        assert_eq!(tick(&mut chains, &bottom, &mut scratch), 1);
+        assert_eq!(scratch.groups.len(), 1);
+        assert_eq!(scratch.groups[0].lanes.len(), PEOPLE);
+        assert!(scratch.singles.is_empty());
+        for _ in 0..3 {
+            tick(&mut chains, &bottom, &mut scratch);
+        }
+        let settled = scratch.plans_built;
+        assert_eq!(tick(&mut chains, &bottom, &mut scratch), settled);
+
+        // `a` discovers a state in every lane: the next tick replans,
+        // then the plan holds again.
+        assert_eq!(tick(&mut chains, &some_a, &mut scratch), settled);
+        assert_eq!(tick(&mut chains, &bottom, &mut scratch), settled + 1);
+        for _ in 0..3 {
+            tick(&mut chains, &bottom, &mut scratch);
+        }
+        let settled = scratch.plans_built;
+        assert_eq!(tick(&mut chains, &bottom, &mut scratch), settled);
+
+        // Forcing the interpreter takes a chain out of its batch, and
+        // releasing it puts it back.
+        chains[2].1.force_interpreter(true);
+        assert_eq!(tick(&mut chains, &bottom, &mut scratch), settled + 1);
+        assert_eq!(scratch.singles, vec![2]);
+        assert_eq!(tick(&mut chains, &bottom, &mut scratch), settled + 1);
+        chains[2].1.force_interpreter(false);
+        assert_eq!(tick(&mut chains, &bottom, &mut scratch), settled + 2);
+        assert!(scratch.singles.is_empty());
+        let settled = settled + 2;
+
+        // A changed chain list (what a repartition hands a shard, along
+        // with a fresh scratch) replans.
+        let t = chains[0].1.next_t();
+        let mut extra = person_chain(&db, 0);
+        for _ in 0..t {
+            extra.step_frame(&bottom, None).unwrap();
+        }
+        chains.push((0, extra));
+        assert_eq!(tick(&mut chains, &bottom, &mut scratch), settled + 1);
+        assert_eq!(
+            scratch.groups[0].lanes.len() + scratch.singles.len(),
+            PEOPLE + 1
+        );
+
+        scratch.invalidate();
+        assert_eq!(tick(&mut chains, &bottom, &mut scratch), settled + 2);
+        assert_eq!(tick(&mut chains, &bottom, &mut scratch), settled + 2);
+    }
 
     #[test]
     fn layout_fingerprint_separates_orders() {

@@ -423,3 +423,214 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Batched fill and cached plans: signed zeros, tiny negatives, scattered lanes
+// ---------------------------------------------------------------------------
+
+/// One person's tick: per outcome of [`DOMAIN`] a `(kind, weight)` pair
+/// (see [`fill_probs`]), then whether ⊥ is an exact zero and whether
+/// that zero is `-0.0`.
+type FillPerson = (Vec<(usize, f64)>, bool, bool);
+
+/// Batch-sized sessions (at least four lanes per group) over marginals
+/// that stress the outcome-major fill: exact zeros, `-0.0`, and the
+/// tiny negative probabilities `validate_dist` admits, with lanes bound
+/// to contiguous, interleaved or reversed stream indices.
+#[derive(Debug, Clone)]
+struct FillScenario {
+    n_people: usize,
+    /// 0: `At` streams contiguous; 1: a two-outcome `Badge` stream after
+    /// each `At` stream; 2: `At` streams declared in reverse order.
+    layout: usize,
+    /// Indices into [`QUERIES`]; registered as q0, q1, … in order.
+    queries: Vec<usize>,
+    /// `ticks[t][person]`.
+    ticks: Vec<Vec<FillPerson>>,
+    /// Tick after which the kernel session is checkpointed and restored.
+    split: usize,
+    /// Tick at which the kernel session toggles the interpreter on and
+    /// off again, invalidating every cached plan.
+    toggle: usize,
+    parallel: bool,
+}
+
+fn fill_scenario() -> impl Strategy<Value = FillScenario> {
+    let outcome = (0..4usize, 0.0..1.0f64);
+    let person = (
+        prop::collection::vec(outcome, DOMAIN.len()),
+        any::<bool>(),
+        any::<bool>(),
+    );
+    (
+        (4..9usize, 0..3usize),
+        prop::collection::vec(0..QUERIES.len(), 1..4),
+        prop::collection::vec(prop::collection::vec(person, 8), 3..9),
+        (0..1_000_000usize, 0..1_000_000usize),
+        any::<bool>(),
+    )
+        .prop_map(
+            |((n_people, layout), queries, ticks, (split_seed, toggle_seed), parallel)| {
+                let split = 1 + split_seed % (ticks.len() - 1);
+                let toggle = toggle_seed % ticks.len();
+                let ticks = ticks
+                    .into_iter()
+                    .map(|mut row| {
+                        row.truncate(n_people);
+                        row
+                    })
+                    .collect();
+                FillScenario {
+                    n_people,
+                    layout,
+                    queries,
+                    ticks,
+                    split,
+                    toggle,
+                    parallel,
+                }
+            },
+        )
+}
+
+fn fill_db(s: &FillScenario) -> Database {
+    let mut db = Database::new();
+    db.declare_stream("At", &["person"], &["loc"]).unwrap();
+    db.declare_stream("Badge", &["person"], &["state"]).unwrap();
+    db.declare_relation("Hallway", 1).unwrap();
+    let i = db.interner().clone();
+    db.insert_relation_tuple("Hallway", lahar_model::tuple([i.intern("h")]))
+        .unwrap();
+    let people: Vec<usize> = match s.layout {
+        2 => (0..s.n_people).rev().collect(),
+        _ => (0..s.n_people).collect(),
+    };
+    for p in people {
+        let key = format!("p{p}");
+        let at = StreamBuilder::new(&i, "At", &[&key], &DOMAIN);
+        db.add_stream(at.independent(vec![]).unwrap()).unwrap();
+        if s.layout == 1 {
+            let badge = StreamBuilder::new(&i, "Badge", &[&key], &["in"]);
+            db.add_stream(badge.independent(vec![]).unwrap()).unwrap();
+        }
+    }
+    db
+}
+
+/// One person's probabilities over [`DOMAIN`] then ⊥. Outcome kinds:
+/// 0 → `0.0`, 1 → `-0.0`, 2 → a negative no smaller than `-1e-7`,
+/// 3 → a positive share of the weight. ⊥ takes the remainder, or is an
+/// exact (possibly negative) zero when the positive shares can carry
+/// the whole unit.
+fn fill_probs(outcomes: &[(usize, f64)], bottom_zero: bool, bottom_negative: bool) -> Vec<f64> {
+    let weight: f64 = outcomes
+        .iter()
+        .filter(|(kind, _)| *kind == 3)
+        .map(|(_, w)| w)
+        .sum();
+    let exact_bottom = bottom_zero && weight > 0.0;
+    let scale = if exact_bottom {
+        1.0 / weight
+    } else {
+        1.0 / (weight + 1.0)
+    };
+    let mut probs: Vec<f64> = outcomes
+        .iter()
+        .map(|&(kind, w)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => -w * 1e-7,
+            _ => w * scale,
+        })
+        .collect();
+    let bottom = if exact_bottom {
+        if bottom_negative {
+            -0.0
+        } else {
+            0.0
+        }
+    } else {
+        1.0 - probs.iter().sum::<f64>()
+    };
+    probs.push(bottom);
+    probs
+}
+
+/// Stages one tick (`At` streams only; `Badge` streams stay ⊥) and
+/// closes it.
+fn fill_tick(session: &mut RealTimeSession, row: &[FillPerson]) -> Vec<(String, u32, u64)> {
+    let db = session.database();
+    let mut batch = Vec::with_capacity(row.len());
+    for (p, (outcomes, bottom_zero, bottom_negative)) in row.iter().enumerate() {
+        let key = StreamBuilder::new(db.interner(), "At", &[&format!("p{p}")], &DOMAIN);
+        let id = db.stream_id(key.key()).unwrap();
+        let domain = db.streams()[id.index()].domain();
+        let probs = fill_probs(outcomes, *bottom_zero, *bottom_negative);
+        batch.push((id, Marginal::new(domain, probs).unwrap()));
+    }
+    session.stage_batch(batch).unwrap();
+    bits(&session.tick().unwrap())
+}
+
+/// Every chain's checkpointed forward state (`t`, `dist`, `dfa_sets`).
+fn chain_states(ckpt: &Checkpoint) -> lahar_core::json::JsonValue {
+    let doc = lahar_core::json::parse(&ckpt.to_json()).unwrap();
+    doc.get("chains").unwrap().clone()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The outcome-major fill and the cached plans against the forced
+    /// interpreter, under every dispatch: alerts bit-identical on every
+    /// tick, checkpointed chain states (discovery order included)
+    /// identical at the split, and a restored twin tracking both.
+    #[test]
+    fn batched_fill_and_cached_plans_match_the_interpreter(s in fill_scenario()) {
+        let build = |mode: TickMode, forced: bool| {
+            let config = SessionConfig::builder().tick_mode(mode).build().unwrap();
+            let mut session = RealTimeSession::with_config(fill_db(&s), config).unwrap();
+            for (i, &q) in s.queries.iter().enumerate() {
+                session.register(&format!("q{i}"), QUERIES[q]).unwrap();
+            }
+            session.force_interpreter(forced);
+            session
+        };
+        let mut intp = build(TickMode::Sequential, true);
+        let mut reference = Vec::with_capacity(s.ticks.len());
+        let mut reference_states = None;
+        for (t, row) in s.ticks.iter().enumerate() {
+            reference.push(fill_tick(&mut intp, row));
+            if t + 1 == s.split {
+                reference_states = Some(chain_states(&intp.checkpoint().unwrap()));
+            }
+        }
+        let reference_states = reference_states.unwrap();
+
+        let _guard = DispatchGuard;
+        let mode = if s.parallel { TickMode::Parallel } else { TickMode::Sequential };
+        for d in forced_dispatches() {
+            simd::force_dispatch(Some(d));
+            let mut kern = build(mode, false);
+            let mut restored: Option<RealTimeSession> = None;
+            for (t, row) in s.ticks.iter().enumerate() {
+                if t == s.toggle {
+                    kern.force_interpreter(true);
+                    kern.force_interpreter(false);
+                }
+                let ka = fill_tick(&mut kern, row);
+                prop_assert_eq!(&ka, &reference[t], "dispatch {:?} tick {}", d, t);
+                if let Some(twin) = restored.as_mut() {
+                    let ra = fill_tick(twin, row);
+                    prop_assert_eq!(&ra, &reference[t], "restored {:?} tick {}", d, t);
+                }
+                if t + 1 == s.split {
+                    let ckpt = kern.checkpoint().unwrap();
+                    prop_assert_eq!(&chain_states(&ckpt), &reference_states, "dispatch {:?}", d);
+                    let parsed = Checkpoint::from_json(&ckpt.to_json()).unwrap();
+                    restored = Some(RealTimeSession::restore(fill_db(&s), &parsed).unwrap());
+                }
+            }
+        }
+    }
+}

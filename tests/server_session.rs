@@ -365,6 +365,36 @@ fn partial_frame_split_across_read_timeout_is_not_lost() {
     assert!(line.contains("\"pong\""), "{line}");
 }
 
+/// A frame nested far deeper than the JSON parser's cap (10 KB of `[`)
+/// gets a `protocol` error reply instead of overflowing the reactor's
+/// stack and aborting the process, and the same connection keeps
+/// answering afterwards.
+#[test]
+fn deeply_nested_frame_is_refused_and_the_connection_survives() {
+    use std::io::{BufRead as _, BufReader, Write as _};
+
+    let server = LaharServer::start(local_config(), schema_db()).unwrap();
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+
+    let mut frame = "[".repeat(10 * 1024);
+    frame.push('\n');
+    stream.write_all(frame.as_bytes()).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"protocol\"") && line.contains("nesting"),
+        "nested frame must get a protocol error, got: {line}"
+    );
+
+    stream.write_all(b"{\"v\":1,\"cmd\":\"ping\"}\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"pong\""), "{line}");
+    drop((stream, reader));
+    client_free_shutdown(server);
+}
+
 /// Sessions exist only after an explicit `open`: any other command for
 /// an unknown name answers `unknown_session` instead of implicitly
 /// creating server state, and `open` is bounded by the session cap.
@@ -880,20 +910,24 @@ fn evicted_session_with_wal_tail_restores_bit_identically() {
 }
 
 /// Tentpole acceptance: 512 concurrent connections are served by ONE
-/// `lahar-conn*` thread (plus the shard workers) — connections cost
-/// file descriptors, not threads — and every connection's command
-/// lands: the per-session clocks account for all 512 ticks.
+/// connection thread of this server (plus the shard workers) —
+/// connections cost file descriptors, not threads — and every
+/// connection's command lands: the per-session clocks account for all
+/// 512 ticks. Only this server's thread is counted, so servers started
+/// by tests running alongside do not disturb the count.
 #[cfg(target_os = "linux")]
 #[test]
 fn reactor_serves_512_connections_from_o_shards_threads() {
-    fn conn_threads() -> usize {
+    fn conn_threads(name: &str) -> usize {
+        // The kernel keeps the first 15 bytes of a thread name.
+        let comm_name = &name.as_bytes()[..name.len().min(15)];
         std::fs::read_dir("/proc/self/task")
             .unwrap()
             .filter_map(|entry| {
                 let comm = entry.ok()?.path().join("comm");
                 std::fs::read_to_string(comm).ok()
             })
-            .filter(|name| name.trim_end().starts_with("lahar-conn"))
+            .filter(|comm| comm.trim_end().as_bytes() == comm_name)
             .count()
     }
 
@@ -901,6 +935,8 @@ fn reactor_serves_512_connections_from_o_shards_threads() {
     const SESSIONS: usize = 8;
     let server = LaharServer::start(local_config(), schema_db()).unwrap();
     let addr = server.addr();
+    let conn_thread = server.conn_thread_name().to_owned();
+    assert!(conn_thread.starts_with("lahar-conn-"), "{conn_thread}");
 
     let mut clients: Vec<LaharClient> = (0..CONNS)
         .map(|i| LaharClient::connect(addr, &format!("fan-{}", i % SESSIONS)).unwrap())
@@ -914,7 +950,7 @@ fn reactor_serves_512_connections_from_o_shards_threads() {
         );
     }
     assert_eq!(
-        conn_threads(),
+        conn_threads(&conn_thread),
         1,
         "512 open connections must still be served by the single reactor thread"
     );
