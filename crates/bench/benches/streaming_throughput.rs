@@ -595,7 +595,8 @@ fn main() {
     // tracer off (the default — one relaxed atomic load per span site)
     // and on (per-thread ring-buffer recording). The *off* column is
     // the deployment-relevant number and must stay in the noise; the
-    // *on* column prices chain-level tracing for when it is needed.
+    // *on* column prices span recording (per shard epoch and per SoA
+    // group; the kernels are the same either way) for when it is needed.
     let n_people = *people_counts.last().unwrap();
     println!();
     header(

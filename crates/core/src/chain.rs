@@ -12,20 +12,24 @@
 //! P[M(t) = (σ′, q′)] = Σ_{σ,q : δ(q,σ′)=q′} C(t)(σ′, σ) · P[M(t−1) = (σ, q)]
 //! ```
 //!
-//! Two modes mirror the paper's two scenarios:
+//! Every chain reads its automaton through the compiled kernels of
+//! [`crate::kernel`]: an `Arc`-shared automaton per query structure and
+//! a per-chain [`LocalDfa`] whose dense table numbers states in the
+//! chain's own discovery order. Two modes mirror the paper's two
+//! scenarios:
 //!
 //! * **Markov** (archived): the hidden value is carried in the state and
 //!   evolved through the per-stream CPTs (a tensor contraction per axis, so
 //!   a step costs `O(n_dfa · n_joint · Σ_s k_s)` rather than
-//!   `O(n_dfa · n_joint²)`). Runs on a private [`DfaCache`].
+//!   `O(n_dfa · n_joint²)`).
 //! * **Independent** (real-time): "the next letter seen by the automaton is
 //!   independent of the previously seen letters", so only the distribution
 //!   over automaton states is kept — the paper's "smaller automaton". This
-//!   is the hot path, and it runs on the compiled kernels of
-//!   [`crate::kernel`]: an `Arc`-shared automaton with per-chain dense
-//!   transition tables, flat double-buffered mass vectors, and a cached
-//!   accepting-mass scalar, so a steady-state step allocates nothing and
-//!   touches no hash map.
+//!   is the hot path.
+//!
+//! Both keep flat double-buffered mass vectors, so a steady-state step
+//! allocates nothing and touches no hash map; independent chains also
+//! cache their accepting mass.
 //!
 //! The evaluator also supports *draining*: removing the accepting mass
 //! after each step turns the tracked mass into `P[h, Q ∧ not accepted
@@ -35,77 +39,13 @@
 use crate::error::EngineError;
 use crate::kernel::{self, KernelCounters, LocalDfa, SigKey, SymCache};
 use crate::translate::{build_regex, relevant_streams, symbol_table};
-use lahar_automata::{BitSet, Nfa, SymbolSet};
+use lahar_automata::{Nfa, SymbolSet};
 use lahar_model::{Database, Stream, StreamData};
 use lahar_query::{NormalItem, QueryError};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Default cap on the joint hidden state space.
 pub const DEFAULT_STATE_CAP: usize = 1 << 14;
-
-/// On-the-fly determinization: NFA state sets interned to dense ids with
-/// memoized transitions. Used by Markov-mode chains (each owns a private
-/// cache); independent-mode chains share a [`crate::kernel::SharedAutomaton`]
-/// instead.
-#[derive(Debug, Clone)]
-pub struct DfaCache {
-    nfa: Nfa,
-    sets: Vec<BitSet>,
-    ids: HashMap<BitSet, u32>,
-    trans: HashMap<(u32, SymbolSet), u32>,
-    accepting: Vec<bool>,
-}
-
-impl DfaCache {
-    /// Creates a cache for an NFA; state 0 is the initial set.
-    pub fn new(nfa: Nfa) -> Self {
-        let initial = nfa.initial().clone();
-        let accepting = vec![nfa.is_accepting(&initial)];
-        Self {
-            sets: vec![initial.clone()],
-            ids: HashMap::from([(initial, 0)]),
-            trans: HashMap::new(),
-            accepting,
-            nfa,
-        }
-    }
-
-    /// The id of the initial state set.
-    pub fn initial(&self) -> u32 {
-        0
-    }
-
-    /// Number of discovered DFA states.
-    pub fn n_states(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// True if DFA state `q` contains an accepting NFA state.
-    pub fn is_accepting(&self, q: u32) -> bool {
-        self.accepting[q as usize]
-    }
-
-    /// The memoized transition `δ(q, sym)`.
-    pub fn step(&mut self, q: u32, sym: SymbolSet) -> u32 {
-        if let Some(&q2) = self.trans.get(&(q, sym)) {
-            return q2;
-        }
-        let next = self.nfa.step(&self.sets[q as usize], sym);
-        let id = match self.ids.get(&next) {
-            Some(&id) => id,
-            None => {
-                let id = self.sets.len() as u32;
-                self.accepting.push(self.nfa.is_accepting(&next));
-                self.ids.insert(next.clone(), id);
-                self.sets.push(next);
-                id
-            }
-        };
-        self.trans.insert((q, sym), id);
-        id
-    }
-}
 
 /// Lane identity handed to the SoA batcher: chains batch together only
 /// when the automaton pointer and the full `l2s` layout match, which
@@ -208,23 +148,23 @@ pub(crate) struct ChainState {
     pub(crate) dfa_sets: Vec<Vec<u32>>,
 }
 
-/// Markov-mode (archived scenario) representation: `dist[q]` carries a
-/// vector over joint hidden values, stepped through a private DFA cache.
+/// Markov-mode (archived scenario) representation: `dist[q * n_joint +
+/// h]` is the mass in local automaton state `q` with joint hidden value
+/// `h`; `next` is the reused double buffer.
 #[derive(Debug, Clone)]
 struct MarkovChain {
-    dfa: DfaCache,
-    dist: Vec<Vec<f64>>,
+    dist: Vec<f64>,
+    next: Vec<f64>,
     scratch: Vec<f64>,
     scratch2: Vec<f64>,
 }
 
-/// Independent-mode (real-time scenario) representation: the compiled
-/// kernel. `mass[q]` is the probability mass in local automaton state
-/// `q`; `next_mass` is the reused double buffer; `accept` caches the
-/// accepting mass so [`ChainEvaluator::accept_prob`] is `O(1)`.
+/// Independent-mode (real-time scenario) representation. `mass[q]` is
+/// the probability mass in local automaton state `q`; `next_mass` is
+/// the reused double buffer; `accept` caches the accepting mass so
+/// [`ChainEvaluator::accept_prob`] is `O(1)`.
 #[derive(Debug, Clone)]
 struct IndepChain {
-    local: LocalDfa,
     mass: Vec<f64>,
     next_mass: Vec<f64>,
     accept: f64,
@@ -260,8 +200,11 @@ pub struct ChainEvaluator {
     /// FNV-1a over `syms`, fixed at construction (the tables never
     /// change); see [`ChainEvaluator::syms_fingerprint`].
     syms_fp: u64,
-    /// Joint symbol per joint hidden outcome (Markov mode).
-    joint_syms: Vec<SymbolSet>,
+    /// Local slot of the joint symbol per joint hidden outcome (Markov
+    /// mode).
+    joint_slots: Vec<u32>,
+    /// This chain's view of the query structure's shared automaton.
+    local: LocalDfa,
     repr: Repr,
     /// Next timestep to consume.
     t: u32,
@@ -302,11 +245,19 @@ impl ChainEvaluator {
             syms.push(symbol_table(db, s, items)?);
             any_markov |= s.is_markov();
         }
+        // All grounded bindings of one query structure compile the same
+        // regex (constants only shift symbol *tables*, not the
+        // automaton), so the shared-automaton registry collapses them —
+        // in both modes — to one compiled DFA. The NFA is only compiled
+        // on a registry miss.
+        let key = format!("{regex:?}");
+        let (automaton, _reused) = kernel::shared_automaton(&key, || Nfa::compile(&regex));
+        let mut local = LocalDfa::new(automaton);
         // The joint hidden space only materializes in Markov mode;
         // independent mode tracks automaton states alone, so many relevant
         // streams are fine there. The product is overflow-checked: dozens
         // of Markov streams would overflow long before being representable.
-        let (n_joint, joint_syms, repr) = if any_markov {
+        let (n_joint, joint_slots, repr) = if any_markov {
             let n_joint = sizes
                 .iter()
                 .try_fold(1usize, |acc, &k| acc.checked_mul(k))
@@ -318,44 +269,37 @@ impl ChainEvaluator {
             if n_joint > cap {
                 return Err(EngineError::StateSpaceTooLarge { size: n_joint, cap });
             }
-            let mut js = vec![SymbolSet::EMPTY; n_joint];
-            for (h, slot) in js.iter_mut().enumerate() {
-                let mut rem = h;
-                let mut set = SymbolSet::EMPTY;
-                for (s, &k) in sizes.iter().enumerate() {
-                    let d = rem % k;
-                    rem /= k;
-                    set = set.union(syms[s][d]);
-                }
-                *slot = set;
-            }
-            let dfa = DfaCache::new(Nfa::compile(&regex));
+            // Slots only index the local dense table; interning them up
+            // front discovers no state.
+            let joint_slots = (0..n_joint)
+                .map(|h| {
+                    let mut rem = h;
+                    let mut set = SymbolSet::EMPTY;
+                    for (s, &k) in sizes.iter().enumerate() {
+                        let d = rem % k;
+                        rem /= k;
+                        set = set.union(syms[s][d]);
+                    }
+                    local.slot_of(set)
+                })
+                .collect();
             // All mass starts in the initial automaton state; the hidden
             // part is filled lazily on the first step (the hidden value at
             // t = 0 is drawn fresh from the initial marginals).
-            let mut dist = vec![vec![0.0; n_joint]];
-            dist[0][0] = 1.0;
+            let mut dist = vec![0.0; n_joint];
+            dist[0] = 1.0;
             let markov = MarkovChain {
-                dfa,
                 dist,
+                next: Vec::new(),
                 scratch: vec![0.0; n_joint],
                 scratch2: vec![0.0; n_joint],
             };
-            (n_joint, js, Repr::Markov(markov))
+            (n_joint, joint_slots, Repr::Markov(markov))
         } else {
-            // All grounded bindings of one query structure compile the
-            // same regex (constants only shift symbol *tables*, not the
-            // automaton), so the shared-automaton registry collapses them
-            // to one compiled DFA. The NFA is only compiled on a registry
-            // miss.
-            let key = format!("{regex:?}");
-            let (automaton, _reused) = kernel::shared_automaton(&key, || Nfa::compile(&regex));
-            let local = LocalDfa::new(automaton);
             let mass = vec![1.0];
             let accept = accept_scan(&mass, local.accepting_mask());
             let indep = IndepChain {
                 sig: SigKey::new(&streams, &syms),
-                local,
                 mass,
                 next_mass: Vec::new(),
                 accept,
@@ -372,7 +316,8 @@ impl ChainEvaluator {
             n_joint,
             syms,
             syms_fp,
-            joint_syms,
+            joint_slots,
+            local,
             repr,
             t: 0,
         })
@@ -385,16 +330,17 @@ impl ChainEvaluator {
 
     /// Number of DFA states discovered so far (by this chain).
     pub fn n_dfa_states(&self) -> usize {
-        match &self.repr {
-            Repr::Markov(m) => m.dfa.n_states(),
-            Repr::Indep(k) => k.local.n_states(),
-        }
+        self.local.n_states()
     }
 
     /// Total probability mass currently tracked (1.0 unless draining).
     pub fn tracked_mass(&self) -> f64 {
         match &self.repr {
-            Repr::Markov(m) => m.dist.iter().map(|v| v.iter().sum::<f64>()).sum(),
+            Repr::Markov(m) => m
+                .dist
+                .chunks_exact(self.n_joint)
+                .map(|v| v.iter().sum::<f64>())
+                .sum(),
             Repr::Indep(k) => k.mass.iter().sum(),
         }
     }
@@ -407,9 +353,9 @@ impl ChainEvaluator {
             Repr::Markov(m) => {
                 let p: f64 = m
                     .dist
-                    .iter()
+                    .chunks_exact(self.n_joint)
                     .enumerate()
-                    .filter(|(q, _)| m.dfa.is_accepting(*q as u32))
+                    .filter(|(q, _)| self.local.is_accepting(*q as u32))
                     .map(|(_, v)| v.iter().sum::<f64>())
                     .sum();
                 // Guard against -1e-18-style float dust; the `+ 0.0` also
@@ -423,31 +369,23 @@ impl ChainEvaluator {
 
     /// Removes and returns the accepting mass (interval-probability mode).
     pub fn drain_accepting(&mut self) -> f64 {
-        match &mut self.repr {
-            Repr::Markov(m) => {
-                let mut drained = 0.0;
-                for (q, v) in m.dist.iter_mut().enumerate() {
-                    if m.dfa.is_accepting(q as u32) {
-                        for slot in v.iter_mut() {
-                            drained += *slot;
-                            *slot = 0.0;
-                        }
-                    }
-                }
-                drained
-            }
+        let (mass, n_joint) = match &mut self.repr {
+            Repr::Markov(m) => (&mut m.dist, self.n_joint),
             Repr::Indep(k) => {
-                let mut drained = 0.0;
-                for (q, slot) in k.mass.iter_mut().enumerate() {
-                    if k.local.is_accepting(q as u32) {
-                        drained += *slot;
-                        *slot = 0.0;
-                    }
-                }
                 k.accept = 0.0;
-                drained
+                (&mut k.mass, 1)
+            }
+        };
+        let mut drained = 0.0;
+        for (q, v) in mass.chunks_exact_mut(n_joint).enumerate() {
+            if self.local.is_accepting(q as u32) {
+                for slot in v {
+                    drained += *slot;
+                    *slot = 0.0;
+                }
             }
         }
+        drained
     }
 
     /// True when the evaluator runs in the real-time (independent)
@@ -456,33 +394,24 @@ impl ChainEvaluator {
         matches!(self.repr, Repr::Indep(_))
     }
 
-    /// Test/bench hook: route every transition of an independent-mode
-    /// chain through the shared automaton's interpreter, bypassing the
-    /// per-chain dense table and the frozen table. Results are identical
-    /// (the interpreter and the compiled tables answer from the same
-    /// determinization); only the speed differs. No-op for Markov chains.
+    /// Test/bench hook: route every transition through the shared
+    /// automaton's interpreter, bypassing the per-chain dense table and
+    /// the frozen table. Results are identical (the interpreter and the
+    /// compiled tables answer from the same determinization); only the
+    /// speed differs.
     pub fn force_interpreter(&mut self, on: bool) {
-        if let Repr::Indep(k) = &mut self.repr {
-            k.local.set_force_interpreter(on);
-        }
+        self.local.set_force_interpreter(on);
     }
 
-    /// Drains the kernel-path counters accumulated since the last call
-    /// (all zeros for Markov chains).
+    /// Drains the kernel-path counters accumulated since the last call.
     pub(crate) fn take_kernel_counters(&mut self) -> KernelCounters {
-        match &mut self.repr {
-            Repr::Indep(k) => k.local.take_counters(),
-            Repr::Markov(_) => KernelCounters::default(),
-        }
+        self.local.take_counters()
     }
 
     /// Identity of the shared automaton this chain is attached to
     /// (pointer-stable for the automaton's lifetime), for telemetry.
-    pub(crate) fn automaton_id(&self) -> Option<usize> {
-        match &self.repr {
-            Repr::Indep(k) => Some(Arc::as_ptr(k.local.automaton()) as usize),
-            Repr::Markov(_) => None,
-        }
+    pub(crate) fn automaton_id(&self) -> usize {
+        Arc::as_ptr(self.local.automaton()) as usize
     }
 
     /// The chain's lane identity for the SoA batcher: automaton pointer
@@ -490,31 +419,28 @@ impl ChainEvaluator {
     /// chain can't join a batch (Markov mode, or the interpreter is
     /// forced — the forced path must exercise the interpreter per chain).
     pub(crate) fn soa_descriptor(&self) -> Option<SoaDesc<'_>> {
-        match &self.repr {
-            Repr::Indep(k) if !k.local.forces_interpreter() => Some(SoaDesc {
-                automaton_ptr: Arc::as_ptr(k.local.automaton()) as usize,
-                l2s: k.local.local_to_shared(),
-                acc_words: k.local.accepting_mask(),
-            }),
-            _ => None,
-        }
+        self.batchable().then(|| SoaDesc {
+            automaton_ptr: self.automaton_id(),
+            l2s: self.local.local_to_shared(),
+            acc_words: self.local.accepting_mask(),
+        })
+    }
+
+    /// Whether the chain can join an SoA batch (see
+    /// [`ChainEvaluator::soa_descriptor`]).
+    fn batchable(&self) -> bool {
+        self.is_independent() && !self.local.forces_interpreter()
     }
 
     /// The shared automaton handle, for batch-level transition resolution.
-    pub(crate) fn soa_automaton(&self) -> Option<Arc<kernel::SharedAutomaton>> {
-        match &self.repr {
-            Repr::Indep(k) => Some(Arc::clone(k.local.automaton())),
-            Repr::Markov(_) => None,
-        }
+    pub(crate) fn soa_automaton(&self) -> Arc<kernel::SharedAutomaton> {
+        Arc::clone(self.local.automaton())
     }
 
     /// Maps a shared state id into this chain's local numbering without
     /// assigning one (the batcher never mutates chain layouts).
     pub(crate) fn soa_peek_local(&self, shared_id: u32) -> Option<u32> {
-        match &self.repr {
-            Repr::Indep(k) => k.local.peek_local(shared_id),
-            Repr::Markov(_) => None,
-        }
+        self.local.peek_local(shared_id)
     }
 
     /// The current mass vector (read side of the SoA gather).
@@ -555,19 +481,13 @@ impl ChainEvaluator {
     /// when it cannot (see [`ChainEvaluator::soa_descriptor`]). Any
     /// discovery, checkpoint import or interpreter toggle changes it.
     pub(crate) fn soa_stamp(&self) -> Option<u64> {
-        match &self.repr {
-            Repr::Indep(k) if !k.local.forces_interpreter() => Some(k.local.layout_version()),
-            _ => None,
-        }
+        self.batchable().then(|| self.local.layout_version())
     }
 
     /// Memoized FNV-1a fingerprint of the local state numbering (see
-    /// [`LocalDfa::layout_fp`]); `None` for Markov chains.
-    pub(crate) fn layout_fp(&self) -> Option<u64> {
-        match &self.repr {
-            Repr::Indep(k) => Some(k.local.layout_fp()),
-            Repr::Markov(_) => None,
-        }
+    /// [`LocalDfa::layout_fp`]).
+    pub(crate) fn layout_fp(&self) -> u64 {
+        self.local.layout_fp()
     }
 
     /// Assigns local ids to every state this chain's next step would
@@ -585,7 +505,7 @@ impl ChainEvaluator {
         };
         k.slots.clear();
         for &sym in active_syms {
-            k.slots.push((k.local.slot_of(sym), 0.0));
+            k.slots.push((self.local.slot_of(sym), 0.0));
         }
         let n_q = k.mass.len();
         for q in 0..n_q {
@@ -594,7 +514,7 @@ impl ChainEvaluator {
             }
             for i in 0..k.slots.len() {
                 let (slot, _) = k.slots[i];
-                k.local.step(q as u32, slot);
+                self.local.step(q as u32, slot);
             }
         }
     }
@@ -654,7 +574,7 @@ impl ChainEvaluator {
             Repr::Indep(k) => Ok(ChainState {
                 t: self.t,
                 dist: k.mass.clone(),
-                dfa_sets: k.local.export_sets(),
+                dfa_sets: self.local.export_sets(),
             }),
         }
     }
@@ -673,19 +593,19 @@ impl ChainEvaluator {
             }
             Repr::Indep(k) => k,
         };
-        k.local
+        self.local
             .import_sets(&state.dfa_sets)
             .map_err(EngineError::CheckpointCorrupt)?;
-        if state.dist.len() > k.local.n_states() {
+        if state.dist.len() > self.local.n_states() {
             return Err(EngineError::CheckpointCorrupt(format!(
                 "chain mass vector covers {} DFA states but only {} were discovered",
                 state.dist.len(),
-                k.local.n_states()
+                self.local.n_states()
             )));
         }
         k.mass.clear();
         k.mass.extend_from_slice(&state.dist);
-        k.accept = accept_scan(&k.mass, k.local.accepting_mask());
+        k.accept = accept_scan(&k.mass, self.local.accepting_mask());
         self.t = state.t;
         Ok(())
     }
@@ -727,10 +647,16 @@ impl ChainEvaluator {
     }
 
     fn step_independent(&mut self, source: &MarginalSource<'_>, cache: Option<&mut SymCache>) {
-        let streams = &self.streams;
-        let syms = &self.syms;
-        let t = self.t;
-        let k = match &mut self.repr {
+        let Self {
+            streams,
+            syms,
+            local,
+            repr,
+            t,
+            ..
+        } = self;
+        let t = *t;
+        let k = match repr {
             Repr::Indep(k) => k,
             Repr::Markov(_) => unreachable!("step_independent on a Markov chain"),
         };
@@ -757,12 +683,12 @@ impl ChainEvaluator {
         // Resolve each symbol set to its local slot once per tick…
         k.slots.clear();
         for &(sym, p) in dist {
-            k.slots.push((k.local.slot_of(sym), p));
+            k.slots.push((local.slot_of(sym), p));
         }
         // …then route mass through the dense table into the double buffer.
         let n_q = k.mass.len();
         k.next_mass.clear();
-        k.next_mass.resize(k.local.n_states(), 0.0);
+        k.next_mass.resize(local.n_states(), 0.0);
         for q in 0..n_q {
             let mass = k.mass[q];
             if mass == 0.0 {
@@ -770,7 +696,7 @@ impl ChainEvaluator {
             }
             for i in 0..k.slots.len() {
                 let (slot, p) = k.slots[i];
-                let q2 = k.local.step(q as u32, slot) as usize;
+                let q2 = local.step(q as u32, slot) as usize;
                 if q2 >= k.next_mass.len() {
                     k.next_mass.resize(q2 + 1, 0.0);
                 }
@@ -778,23 +704,29 @@ impl ChainEvaluator {
             }
         }
         std::mem::swap(&mut k.mass, &mut k.next_mass);
-        k.accept = accept_scan(&k.mass, k.local.accepting_mask());
+        k.accept = accept_scan(&k.mass, local.accepting_mask());
     }
 
     fn step_markov(&mut self, db: &Database) {
-        let streams = &self.streams;
-        let sizes = &self.sizes;
-        let n_joint = self.n_joint;
-        let joint_syms = &self.joint_syms;
-        let t = self.t;
-        let m = match &mut self.repr {
+        let Self {
+            streams,
+            sizes,
+            n_joint,
+            joint_slots,
+            local,
+            repr,
+            t,
+            ..
+        } = self;
+        let (n_joint, t) = (*n_joint, *t);
+        let m = match repr {
             Repr::Markov(m) => m,
             Repr::Indep(_) => unreachable!("step_markov on an independent chain"),
         };
-        let n_q = m.dist.len();
-        let mut new_dist: Vec<Vec<f64>> = vec![vec![0.0; n_joint]; n_q];
-        for q in 0..n_q {
-            let total: f64 = m.dist[q].iter().sum();
+        m.next.clear();
+        m.next.resize(m.dist.len(), 0.0);
+        for q in 0..m.dist.len() / n_joint {
+            let total: f64 = m.dist[q * n_joint..(q + 1) * n_joint].iter().sum();
             if total == 0.0 {
                 continue;
             }
@@ -808,20 +740,18 @@ impl ChainEvaluator {
                 m.evolve_hidden(db, q, t, streams, sizes, n_joint);
             }
             // Route each hidden value's mass through the automaton.
-            let scratch = std::mem::take(&mut m.scratch);
-            for (h, &mass) in scratch.iter().enumerate() {
+            for (h, &mass) in m.scratch.iter().enumerate() {
                 if mass == 0.0 {
                     continue;
                 }
-                let q2 = m.dfa.step(q as u32, joint_syms[h]) as usize;
-                if q2 >= new_dist.len() {
-                    new_dist.resize(q2 + 1, vec![0.0; n_joint]);
+                let q2 = local.step(q as u32, joint_slots[h]) as usize;
+                if (q2 + 1) * n_joint > m.next.len() {
+                    m.next.resize((q2 + 1) * n_joint, 0.0);
                 }
-                new_dist[q2][h] += mass;
+                m.next[q2 * n_joint + h] += mass;
             }
-            m.scratch = scratch;
         }
-        m.dist = new_dist;
+        std::mem::swap(&mut m.dist, &mut m.next);
     }
 }
 
@@ -926,7 +856,7 @@ impl MarkovChain {
         sizes: &[usize],
         n_joint: usize,
     ) {
-        let mass = self.dist[q][0];
+        let mass = self.dist[q * n_joint];
         self.scratch.fill(0.0);
         for h in 0..n_joint {
             let mut rem = h;
@@ -955,7 +885,8 @@ impl MarkovChain {
         sizes: &[usize],
         n_joint: usize,
     ) {
-        self.scratch.copy_from_slice(&self.dist[q]);
+        self.scratch
+            .copy_from_slice(&self.dist[q * n_joint..(q + 1) * n_joint]);
         for (s, &si) in streams.iter().enumerate() {
             let stream = &db.streams()[si];
             let k = sizes[s];
@@ -1052,6 +983,163 @@ mod tests {
         ];
         db.add_stream(b.independent(ms).unwrap()).unwrap();
         db
+    }
+
+    /// A Markov `joe` stream beside an independent `sue` stream, eight
+    /// ticks each: chains over both run in Markov mode and exercise both
+    /// hidden-evolution branches.
+    fn markov_db() -> Database {
+        let mut db = Database::new();
+        db.declare_stream("At", &["person"], &["loc"]).unwrap();
+        let i = db.interner().clone();
+        let joe = StreamBuilder::new(&i, "At", &["joe"], &["a", "h", "c"]);
+        let init = joe.marginal(&[("a", 0.7), ("h", 0.2)]).unwrap();
+        let cpts = [
+            [0.5, 0.4, 0.3, 0.5, 0.1, 0.8, 0.1],
+            [0.3, 0.6, 0.2, 0.3, 0.4, 0.6, 0.3],
+        ]
+        .map(|[aa, ah, hh, hc, ha, cc, ch]| {
+            joe.cpt(&[
+                ("a", "a", aa),
+                ("a", "h", ah),
+                ("h", "h", hh),
+                ("h", "c", hc),
+                ("h", "a", ha),
+                ("c", "c", cc),
+                ("c", "h", ch),
+            ])
+            .unwrap()
+        });
+        let cpts = (0..7).map(|t| cpts[t % 2].clone()).collect();
+        db.add_stream(joe.markov(init, cpts).unwrap()).unwrap();
+        let sue = StreamBuilder::new(&i, "At", &["sue"], &["a", "c"]);
+        let ms = [(0.3, 0.1), (0.0, 0.6), (0.2, 0.7), (0.0, 0.9), (0.5, 0.3)]
+            .iter()
+            .cycle()
+            .take(8)
+            .map(|&(a, c)| sue.marginal(&[("a", a), ("c", c)]).unwrap())
+            .collect();
+        db.add_stream(sue.independent(ms).unwrap()).unwrap();
+        db
+    }
+
+    /// Markov-mode answers, pinned bit for bit: the mass layout follows
+    /// local discovery order and each step accumulates in (state
+    /// ascending, hidden value ascending) order, so a change to either
+    /// shows up here. Each tick records the accept probability, and for
+    /// the drained case also the drained and the remaining mass. Runs two
+    /// ticks past the recorded end (all-⊥).
+    #[test]
+    fn markov_series_bits_are_pinned() {
+        let db = markov_db();
+        let cases: [(&str, bool, &[u64]); 3] = [
+            (
+                "At('joe','a') ; At('joe','h') ; At('sue','c')",
+                false,
+                &[
+                    0,
+                    0,
+                    4596229664506252362,
+                    4598632785267417260,
+                    4585697265393066971,
+                    4580880838962165482,
+                    4593506469492511070,
+                    4591159073827212286,
+                    0,
+                    0,
+                ],
+            ),
+            (
+                "At('joe','h') ; At('sue','a') ; At('joe','c') ; At('sue','c')",
+                false,
+                &[
+                    0,
+                    0,
+                    0,
+                    0,
+                    4577538501073566160,
+                    4569572159353184230,
+                    4591645707691162652,
+                    4590838821349688641,
+                    0,
+                    0,
+                ],
+            ),
+            (
+                "At('joe','a') ; At('sue','c')",
+                true,
+                &[
+                    0,
+                    0,
+                    4607182418800017408,
+                    4601237667291888353,
+                    4601237667291888353,
+                    4603399395113026192,
+                    4596734067664517858,
+                    4596734067664517858,
+                    4600336947366414258,
+                    4592057529811456338,
+                    4592057529811456338,
+                    4598488670079341403,
+                    4572045694795242988,
+                    4572045694795242989,
+                    4598404362694317029,
+                    4566441919822101409,
+                    4566441919822101410,
+                    4598369991221960937,
+                    4578099512677707851,
+                    4578099512677707850,
+                    4598130644717604556,
+                    4576710611199538074,
+                    4576710611199538073,
+                    4597783332878949269,
+                    0,
+                    0,
+                    4597783332878949269,
+                    0,
+                    0,
+                    4597783332878949269,
+                ],
+            ),
+        ];
+        for (src, drained, want) in cases {
+            let q = parse_query(db.interner(), src).unwrap();
+            let nq = NormalQuery::from_query(&q);
+            let mut chain = ChainEvaluator::new(&db, &nq.items).unwrap();
+            assert!(!chain.is_independent());
+            let mut got = Vec::new();
+            for _ in 0..10 {
+                got.push(chain.step(&db).to_bits());
+                if drained {
+                    got.push(chain.drain_accepting().to_bits());
+                    got.push(chain.tracked_mass().to_bits());
+                }
+            }
+            assert_eq!(got, want, "{src}");
+        }
+    }
+
+    /// Both modes step through the same registry automaton: a Markov
+    /// chain and an independent chain of one query hold one `Arc`.
+    #[test]
+    fn markov_and_independent_chains_share_one_automaton() {
+        let src = "At('joe','a') ; At('joe','h')";
+        let chain_over = |db: &Database| {
+            let q = parse_query(db.interner(), src).unwrap();
+            ChainEvaluator::new(db, &NormalQuery::from_query(&q).items).unwrap()
+        };
+        let (markov, indep) = (markov_db(), indep_db());
+        let (mut markov, indep) = (chain_over(&markov), chain_over(&indep));
+        assert!(!markov.is_independent() && indep.is_independent());
+        assert!(Arc::ptr_eq(
+            markov.local.automaton(),
+            indep.local.automaton()
+        ));
+        markov.step(&markov_db());
+        assert!(
+            markov.n_dfa_states() > 1,
+            "the Markov step discovered no state"
+        );
     }
 
     /// `accept_prob` must be a cached read: the accepting scan runs once

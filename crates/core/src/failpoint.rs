@@ -3,8 +3,10 @@
 //! Compiled only with the `failpoints` feature; without it every check
 //! compiles to an inline no-op so production builds pay nothing. With
 //! the feature on, named fail points in the engine's hot paths —
-//! `"worker_step"` (inside the parallel worker's per-chain step loop),
-//! `"sequential_step"` (the sequential tick path), and `"sampler"`
+//! `"worker_step"` and `"sequential_step"` (checked once per chain per
+//! tick at the top of the session's shard step: by the epoch job on a
+//! pool worker, and by the same job run inline on the caller's thread),
+//! and `"sampler"`
 //! (Monte Carlo compilation) — consult a process-global registry and
 //! can panic, sleep, or return an [`EngineError::FaultInjected`]
 //! according to a **seeded deterministic schedule**, so every chaos run

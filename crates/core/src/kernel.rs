@@ -1,4 +1,4 @@
-//! Compiled dense kernels for the independent-mode hot path.
+//! Compiled dense kernels every chain steps through, in both modes.
 //!
 //! Three cooperating pieces turn the interpreted per-chain automaton walk
 //! into table lookups (the classic NFA-interpreter → compiled-DFA jump):
@@ -15,8 +15,8 @@
 //!   interpreter, which refreezes once things go quiet again.
 //! * [`LocalDfa`] — each chain's *private* view of the shared automaton.
 //!   Chains keep their own dense state numbering in **local discovery
-//!   order** (exactly the ids a private [`crate::DfaCache`] would have
-//!   assigned), so mass-vector layout, float accumulation order, and
+//!   order** (exactly the ids a private determinization of the chain's
+//!   own steps would assign), so mass-vector layout, float accumulation order, and
 //!   checkpointed `dfa_sets` stay bit-identical to the interpreted
 //!   path and independent of how many chains share the automaton or
 //!   which worker thread touched it first. The local dense table
@@ -347,9 +347,9 @@ pub(crate) fn shared_automaton(
 /// A chain's private dense view of a [`SharedAutomaton`].
 ///
 /// Local state ids are assigned in **this chain's** discovery order —
-/// identical to what a private [`crate::DfaCache`] would assign — so the
-/// mass vector layout, accumulation order, and checkpointed `dfa_sets`
-/// are independent of sharing. `trans[q * stride + slot]` (local ids on
+/// identical to what a private determinization of its own steps would
+/// assign — so the mass vector layout, accumulation order, and
+/// checkpointed `dfa_sets` are independent of sharing. `trans[q * stride + slot]` (local ids on
 /// both axes) is the allocation- and lock-free fast path.
 #[derive(Debug, Clone)]
 pub(crate) struct LocalDfa {
@@ -563,8 +563,8 @@ impl LocalDfa {
         q2
     }
 
-    /// Exports local state sets in local discovery order — the same
-    /// format and ids [`crate::DfaCache::export_sets`] produces.
+    /// Exports local state sets (sorted NFA state indices) in local
+    /// discovery order.
     pub(crate) fn export_sets(&self) -> Vec<Vec<u32>> {
         self.local_to_shared
             .iter()
@@ -809,7 +809,7 @@ mod tests {
         let s0 = SymbolSet(0b01);
         let s1 = SymbolSet(0b10);
         // Chain a discovers via s0 first; chain b via s1 first. Their
-        // local numbering must match what a private DfaCache would do.
+        // local numbering must match what a private determinization would do.
         let a_slot0 = a.slot_of(s0);
         let a_q1 = a.step(0, a_slot0);
         let b_slot1 = b.slot_of(s1);

@@ -67,7 +67,7 @@ pub mod trace;
 mod translate;
 pub mod wal;
 
-pub use chain::{ChainEvaluator, DfaCache, DEFAULT_STATE_CAP};
+pub use chain::{ChainEvaluator, DEFAULT_STATE_CAP};
 pub use checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 pub use client::{LaharClient, RetryPolicy};
 pub use engine::{Algorithm, CompileOptions, CompiledQuery, Lahar, QuerySource};

@@ -27,6 +27,13 @@ use crate::json::{self, JsonValue};
 /// The protocol version this build speaks.
 pub const PROTOCOL_VERSION: u32 = 1;
 
+/// Longest request frame a server accepts, newline excluded — far above
+/// any frame this crate's clients send. A longer one is answered with
+/// one `protocol` error and its bytes are dropped through the next
+/// newline, so a peer that never sends `\n` cannot grow a connection's
+/// read buffer past this (plus one read).
+pub const MAX_FRAME_BYTES: usize = 16 << 20;
+
 /// A stream identity plus one tick's marginal, as carried on the wire.
 ///
 /// `probs` lists the full distribution in domain order — including the

@@ -34,7 +34,9 @@
 //! progress for [`WRITE_STALL`] is dropped, and the shutdown drain is
 //! bounded by [`DRAIN_DEADLINE`].
 
-use crate::protocol::{encode_response_with_id, parse_request, Response};
+use crate::protocol::{
+    encode_response_with_id, parse_request, Response, WireCode, MAX_FRAME_BYTES,
+};
 use crate::server::{
     dispatch, elapsed_ns, initiate_shutdown, req_span, Dispatched, RequestOutcome, Shared,
 };
@@ -114,6 +116,9 @@ struct Conn {
     rbuf: Vec<u8>,
     /// How far `rbuf` has been scanned for a newline already.
     scanned: usize,
+    /// An oversized frame was answered; its bytes are dropped through
+    /// the next newline.
+    discarding: bool,
     /// Ordered response slots; the front flushes first.
     out: VecDeque<Slot>,
     /// Sequence number of `out.front()`; slot `seq` lives at index
@@ -134,6 +139,7 @@ impl Conn {
             stream,
             rbuf: Vec::new(),
             scanned: 0,
+            discarding: false,
             out: VecDeque::new(),
             head_seq: 0,
             next_seq: 0,
@@ -324,19 +330,42 @@ fn read_and_dispatch(conn: &mut Conn, conn_id: u64, shared: &Arc<Shared>) -> boo
                 conn.eof = true;
                 break;
             }
-            Ok(n) => conn.rbuf.extend_from_slice(&buf[..n]),
+            Ok(n) => {
+                conn.rbuf.extend_from_slice(&buf[..n]);
+                // A peer may keep the socket readable indefinitely;
+                // deframe as soon as the buffer passes the cap.
+                if conn.rbuf.len() > MAX_FRAME_BYTES {
+                    dispatch_frames(conn, conn_id, shared);
+                }
+            }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return false,
         }
     }
-    // Parse every complete frame; the trailing partial (if any) stays
-    // in `rbuf` for however long its remainder takes to arrive.
-    while let Some(nl) = conn.rbuf[conn.scanned..].iter().position(|&b| b == b'\n') {
-        let line_end = conn.scanned + nl;
-        let frame: Vec<u8> = conn.rbuf.drain(..=line_end).collect();
-        conn.scanned = 0;
-        let text = String::from_utf8_lossy(&frame);
+    dispatch_frames(conn, conn_id, shared);
+    true
+}
+
+/// Parses and dispatches every complete frame in `rbuf`, in place; the
+/// trailing partial (if any) stays for however long its remainder
+/// takes to arrive, unless it already exceeds [`MAX_FRAME_BYTES`].
+fn dispatch_frames(conn: &mut Conn, conn_id: u64, shared: &Arc<Shared>) {
+    let mut start = 0;
+    let mut scan_from = conn.scanned;
+    while let Some(nl) = conn.rbuf[scan_from..].iter().position(|&b| b == b'\n') {
+        let end = scan_from + nl;
+        let frame = start..end;
+        start = end + 1;
+        scan_from = start;
+        if std::mem::take(&mut conn.discarding) {
+            continue; // the tail of an oversized frame, already answered
+        }
+        if frame.len() > MAX_FRAME_BYTES {
+            refuse_oversized(conn);
+            continue;
+        }
+        let text = String::from_utf8_lossy(&conn.rbuf[frame]);
         if text.trim().is_empty() {
             continue;
         }
@@ -358,8 +387,29 @@ fn read_and_dispatch(conn: &mut Conn, conn_id: u64, shared: &Arc<Shared>) -> boo
         }
         drop(span);
     }
+    conn.rbuf.drain(..start);
+    if !conn.discarding && conn.rbuf.len() > MAX_FRAME_BYTES {
+        refuse_oversized(conn);
+        conn.discarding = true;
+    }
+    if conn.discarding {
+        conn.rbuf.clear();
+    }
     conn.scanned = conn.rbuf.len();
-    true
+}
+
+/// Answers a frame longer than [`MAX_FRAME_BYTES`] with a `protocol`
+/// error in its request-order slot.
+fn refuse_oversized(conn: &mut Conn) {
+    conn.next_seq += 1;
+    let refused = Response::Error {
+        code: WireCode::Protocol,
+        message: format!("bad frame: longer than {MAX_FRAME_BYTES} bytes"),
+    };
+    conn.out.push_back(ready_slot(
+        RequestOutcome::inline("invalid", None, None, refused),
+        false,
+    ));
 }
 
 /// Flushes the connection's front slots for as long as the socket

@@ -10,25 +10,27 @@
 //! # Sharded, epoch-batched parallel ticks
 //!
 //! Internally the session owns every registered query's per-key chains
-//! directly, partitioned into contiguous, balanced *shards*. A tick can
-//! advance the shards either in place (sequential) or on the
-//! process-shared worker pool ([`crate::pool`]): the tick's marginals,
-//! written once into a dense outcome-major frame as the tick closes,
-//! are shared with the workers behind an `Arc`, each worker steps its
-//! shard through [`crate::ChainEvaluator`] and sends it back with the
-//! per-chain probabilities, and the session recombines per-query
-//! answers on the caller's thread in canonical binding order
-//! (`1 − Π(1 − pᵢ)` for extended regular queries — Theorem 3.7's
-//! combination, applied identically on both paths, so parallel ticks
-//! reproduce sequential answers). [`SessionConfig`] picks the path:
+//! directly, partitioned into contiguous, balanced *shards*. Every
+//! shard advances through one job — step the shard through the epoch's
+//! ticks with the batched kernel of [`crate::soa`], catching panics —
+//! run either inline on the caller's thread (sequential) or on the
+//! process-shared worker pool ([`crate::pool`]). The tick's marginals
+//! are written once into a dense outcome-major frame as the tick
+//! closes and shared with the jobs behind an `Arc`; each job hands its
+//! shard back with the per-chain probabilities, one merge routine takes
+//! every result home, and the session recombines per-query answers on
+//! the caller's thread in canonical binding order (`1 − Π(1 − pᵢ)` for
+//! extended regular queries — Theorem 3.7's combination). Both paths
+//! therefore run the same arithmetic in the same order, so parallel
+//! ticks reproduce sequential answers. [`SessionConfig`] picks the path:
 //! [`TickMode::Auto`] engages the pool once the session tracks at least
 //! `parallel_threshold` chains and more than one worker is available.
 //!
 //! When the caller can stage several ticks at once
 //! ([`RealTimeSession::tick_epoch`] — the path `stage_batch` ingest,
-//! replays, and history backfills use), the session ships all of them
-//! to each shard in one *epoch* job: workers advance their chains
-//! through every tick of the epoch before the single epoch join,
+//! replays, and history backfills use), the session hands all of them
+//! to each shard in one *epoch* job: jobs advance their chains through
+//! every tick of the epoch before the single epoch join,
 //! turning `k` cross-thread barriers into one while alert emission,
 //! stats, auto-checkpoint cadence, and watchdog/poison/recover
 //! semantics stay tick-accurate. [`SessionConfig::max_epoch_ticks`]
@@ -70,7 +72,7 @@ use crate::stats::EngineStats;
 use lahar_model::{Database, Marginal, StreamData, StreamId, StreamKey};
 use lahar_query::{classify, parse_and_validate, NormalQuery, Query, QueryClass, QueryError};
 use std::net::SocketAddr;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -392,147 +394,106 @@ struct Shard {
     /// Reusable SoA batch scratch ([`crate::soa`]); holds no chain
     /// state, travels with the shard to worker threads.
     scratch: crate::soa::SoaScratch,
+    /// The last stepped epoch's per-chain probabilities (tick-major,
+    /// shard order) and wall-clock nanoseconds per query index, as
+    /// [`step_shard_epoch`] writes them; reused across epochs.
+    probs: Vec<f64>,
+    query_ns: Vec<u64>,
 }
 
-/// One epoch's work order for a shard: advance every chain through all
-/// `ticks` before reporting back — one join per epoch, not per tick.
-struct EpochJob {
-    shard: Shard,
-    ticks: Vec<Arc<TickFrame>>,
-    n_queries: usize,
+impl Shard {
+    /// A shard with fresh scratch: the SoA plan belongs to one chain
+    /// list, so every rebuilt list starts a new one.
+    fn new(start: usize, chains: Vec<(usize, ChainEvaluator)>) -> Self {
+        Self {
+            start,
+            chains,
+            scratch: crate::soa::SoaScratch::default(),
+            probs: Vec::new(),
+            query_ns: Vec::new(),
+        }
+    }
 }
 
-/// What a worker hands back for one epoch: per-chain probabilities
-/// (tick-major, shard order within each tick), wall-clock nanoseconds
-/// per query index, and kernel-path telemetry — as [`step_shard_epoch`]
-/// produces them.
-type SteppedEpoch = (Vec<f64>, Vec<u64>, KernelTickStats);
+/// `(shard index, stepped shard + its epoch's kernel counters | fault)`.
+type Reply = (usize, Result<(Shard, KernelTickStats), EngineError>);
 
-/// `(shard index, stepped shard + its epoch outputs | fault)`.
-type Reply = (usize, Result<(Shard, SteppedEpoch), EngineError>);
-
-/// Steps every chain in `shard` through one tick's frame, writing the
-/// per-chain probabilities to `probs` (shard order), adding the
-/// wall-clock nanoseconds spent on each query's chains to `query_ns`
-/// (indexed by query), and returning the kernel-path counters
-/// accumulated while stepping.
-///
-/// `cache` is this tick's symbol-distribution cache: chains with equal
-/// `(streams, syms)` signatures share one union-convolution per tick.
-/// The caller clears it once per tick ([`SymCache::begin_tick`]); the
-/// sequential path threads one cache across all shards, each worker
-/// owns one.
-///
-/// This is the single stepping kernel shared by the worker and
-/// sequential paths, so both produce bit-identical arithmetic.
-fn step_shard(
-    shard: &mut Shard,
-    frame: &TickFrame,
-    cache: &mut SymCache,
-    failpoint: &'static str,
-    probs: &mut [f64],
-    query_ns: &mut [u64],
-) -> Result<KernelTickStats, EngineError> {
-    // The batched SoA path produces bit-identical probabilities but
-    // collapses per-chain work into lane loops, so it has no natural
-    // place for the legacy per-chain `chain_step` spans. When tracing
-    // is live, step scalar so the trace shape stays exactly as
-    // documented; otherwise take the batched path.
-    if !crate::trace::is_enabled() {
-        return crate::soa::step_shard_chains(
-            &mut shard.chains,
-            frame,
-            cache,
-            failpoint,
-            &mut shard.scratch,
-            probs,
-            query_ns,
-        );
-    }
-    // This loop advances chain masses behind the batched path's back;
-    // tell its scratch so no stale `next` matrix is swapped in as a
-    // later tick's mass and the next batched tick plans afresh.
-    shard.scratch.invalidate();
-    let mut kernel = KernelTickStats::default();
-    for ((qi, chain), p) in shard.chains.iter_mut().zip(probs.iter_mut()) {
-        crate::failpoint::check(failpoint)?;
-        let started = Instant::now();
-        let _span = crate::trace::span("chain_step")
-            .with("query", *qi as u64)
-            .with("t", u64::from(chain.next_t()));
-        *p = chain.step_frame(frame, Some(cache))?;
-        kernel.steps.add(chain.take_kernel_counters());
-        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        query_ns[*qi] = query_ns[*qi].saturating_add(ns);
-    }
-    let (sym_hits, sym_misses) = cache.take_counters();
-    kernel.sym_hits += sym_hits;
-    kernel.sym_misses += sym_misses;
-    Ok(kernel)
+/// One epoch's merged shard results, reused across epochs.
+#[derive(Default)]
+struct EpochOutput {
+    /// Per-chain probabilities, tick-major, global sequence order.
+    probs: Vec<f64>,
+    /// Wall-clock nanoseconds per query index.
+    query_ns: Vec<u64>,
+    kernel: KernelTickStats,
+    /// The first shard fault; its shard's chains are lost.
+    fault: Option<EngineError>,
 }
 
 /// Steps every chain in `shard` through every tick of an epoch —
 /// shard-major, so one chain's working set stays hot across its `k`
-/// steps. Each tick still gets its own cache generation
+/// steps — into `shard.probs` and `shard.query_ns`, returning the
+/// kernel-path counters. Each tick gets its own cache generation
 /// ([`SymCache::begin_tick`]): within one tick all chains step against
-/// the same marginals, across ticks they never share distributions.
+/// the same marginals, so chains with equal `(streams, syms)`
+/// signatures share one union-convolution; across ticks they never
+/// share distributions.
 fn step_shard_epoch(
     shard: &mut Shard,
     ticks: &[Arc<TickFrame>],
     n_queries: usize,
     cache: &mut SymCache,
     failpoint: &'static str,
-) -> Result<SteppedEpoch, EngineError> {
+) -> Result<KernelTickStats, EngineError> {
     let n = shard.chains.len();
-    let mut probs = vec![0.0; ticks.len() * n];
-    let mut query_ns = vec![0u64; n_queries];
+    shard.probs.clear();
+    shard.probs.resize(ticks.len() * n, 0.0);
+    shard.query_ns.clear();
+    shard.query_ns.resize(n_queries, 0);
     let mut kernel = KernelTickStats::default();
     for (j, frame) in ticks.iter().enumerate() {
         cache.begin_tick();
-        let tick_probs = &mut probs[j * n..(j + 1) * n];
-        kernel.add(&step_shard(
-            shard,
+        kernel.add(&crate::soa::step_shard_chains(
+            &mut shard.chains,
             frame,
             cache,
             failpoint,
-            tick_probs,
-            &mut query_ns,
+            &mut shard.scratch,
+            &mut shard.probs[j * n..(j + 1) * n],
+            &mut shard.query_ns,
         )?);
     }
-    Ok((probs, query_ns, kernel))
+    Ok(kernel)
 }
 
-/// Runs one shard's epoch on the shared pool thread that picked it up,
-/// always answering on the epoch's reply channel. Panics are caught and
-/// reported as [`EngineError::WorkerPanicked`]; if the session already
-/// abandoned the epoch (watchdog trip), the send lands on a dropped
-/// receiver and is discarded here.
-fn run_epoch_job(index: usize, job: EpochJob, replies: &Sender<Reply>) {
-    let EpochJob {
-        shard,
-        ticks,
-        n_queries,
-    } = job;
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let mut shard = shard;
-        let _span = crate::trace::span("worker_step")
-            .with("worker", index as u64)
-            .with("chains", shard.chains.len() as u64)
-            .with("ticks", ticks.len() as u64);
-        let stepped = crate::pool::with_sym_cache(|cache| {
-            step_shard_epoch(&mut shard, &ticks, n_queries, cache, "worker_step")
-        })?;
-        Ok::<_, EngineError>((shard, stepped))
-    }));
-    let reply = match outcome {
-        Ok(Ok(done)) => Ok(done),
-        Ok(Err(e)) => Err(e),
-        Err(payload) => Err(EngineError::WorkerPanicked {
-            worker: Some(index),
-            message: panic_message(payload),
-        }),
+/// The job every epoch runs once per non-empty shard: on the shared
+/// pool thread that picked it up (`worker: Some`, fail point
+/// `worker_step`) or inline on the session's thread (`worker: None`,
+/// fail point `sequential_step`). Panics are caught and reported as
+/// [`EngineError::WorkerPanicked`].
+fn run_shard_epoch(
+    shard: &mut Shard,
+    ticks: &[Arc<TickFrame>],
+    n_queries: usize,
+    cache: &mut SymCache,
+    worker: Option<usize>,
+) -> Result<KernelTickStats, EngineError> {
+    let span = crate::trace::span("worker_step")
+        .with("chains", shard.chains.len() as u64)
+        .with("ticks", ticks.len() as u64);
+    let (failpoint, _span) = match worker {
+        Some(w) => ("worker_step", span.with("worker", w as u64)),
+        None => ("sequential_step", span),
     };
-    let _ = replies.send((index, reply));
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        step_shard_epoch(shard, ticks, n_queries, cache, failpoint)
+    }))
+    .unwrap_or_else(|payload| {
+        Err(EngineError::WorkerPanicked {
+            worker,
+            message: panic_message(payload),
+        })
+    })
 }
 
 /// A push-based session over independent (real-time) streams.
@@ -600,12 +561,8 @@ pub struct RealTimeSession {
     /// Tick frames no epoch or replay log holds any more, reused by the
     /// next epoch instead of allocating.
     spare_frames: Vec<TickFrame>,
-    /// Per-chain probabilities of the epoch being closed (tick-major,
-    /// global sequence order), reused across epochs.
-    epoch_probs: Vec<f64>,
-    /// Wall-clock nanoseconds per query index of the epoch being
-    /// closed, reused across epochs.
-    epoch_query_ns: Vec<u64>,
+    /// Where each epoch's shard results are merged.
+    epoch_out: EpochOutput,
     t: u32,
 }
 
@@ -638,11 +595,7 @@ impl RealTimeSession {
             db,
             staged,
             queries: Vec::new(),
-            shards: vec![Some(Shard {
-                start: 0,
-                chains: Vec::new(),
-                scratch: crate::soa::SoaScratch::default(),
-            })],
+            shards: vec![Some(Shard::new(0, Vec::new()))],
             total_chains: 0,
             workers: effective_workers_of(&config),
             config,
@@ -657,8 +610,7 @@ impl RealTimeSession {
             metrics_server,
             sym_cache: SymCache::new(),
             spare_frames: Vec::new(),
-            epoch_probs: Vec::new(),
-            epoch_query_ns: Vec::new(),
+            epoch_out: EpochOutput::default(),
             t: 0,
         })
     }
@@ -807,11 +759,10 @@ impl RealTimeSession {
         for slot in &self.shards {
             let Some(shard) = slot.as_ref() else { continue };
             for (_, chain) in &shard.chains {
-                if let Some(id) = chain.automaton_id() {
-                    attached += 1;
-                    if !ids.contains(&id) {
-                        ids.push(id);
-                    }
+                let id = chain.automaton_id();
+                attached += 1;
+                if !ids.contains(&id) {
+                    ids.push(id);
                 }
             }
         }
@@ -836,11 +787,7 @@ impl RealTimeSession {
         for (i, slot) in self.shards.iter_mut().enumerate() {
             let take = base + usize::from(i < extra);
             let tail = rest.split_off(take);
-            *slot = Some(Shard {
-                start,
-                chains: rest,
-                scratch: crate::soa::SoaScratch::default(),
-            });
+            *slot = Some(Shard::new(start, rest));
             start += take;
             rest = tail;
         }
@@ -862,15 +809,7 @@ impl RealTimeSession {
             let shard = slot.take().expect("all shards home between ticks");
             all.extend(shard.chains);
         }
-        self.shards = (0..n)
-            .map(|_| {
-                Some(Shard {
-                    start: 0,
-                    chains: Vec::new(),
-                    scratch: crate::soa::SoaScratch::default(),
-                })
-            })
-            .collect();
+        self.shards = (0..n).map(|_| Some(Shard::new(0, Vec::new()))).collect();
         self.repartition(all);
     }
 
@@ -1071,19 +1010,26 @@ impl RealTimeSession {
         let parallel = wants_parallel && !self.degraded;
         self.epoch_in_flight = k as u32;
         let total = self.total_chains;
-        let mut probs = std::mem::take(&mut self.epoch_probs);
-        probs.clear();
-        probs.resize(k * total, 0.0);
-        let mut query_ns = std::mem::take(&mut self.epoch_query_ns);
-        query_ns.clear();
-        query_ns.resize(self.queries.len(), 0);
-        let kernel = if parallel {
-            self.step_chains_parallel(&epoch, &mut probs, &mut query_ns)?
+        let mut out = std::mem::take(&mut self.epoch_out);
+        out.probs.clear();
+        out.probs.resize(k * total, 0.0);
+        out.query_ns.clear();
+        out.query_ns.resize(self.queries.len(), 0);
+        out.kernel = KernelTickStats::default();
+        if parallel {
+            self.step_chains_parallel(&epoch, &mut out);
         } else {
-            self.step_chains_sequential(&epoch, &mut probs, &mut query_ns)?
-        };
-        // A fault above returns early, leaving `epoch_in_flight` set for
-        // recover(); reaching here means every tick of the epoch closed.
+            self.step_chains_sequential(&epoch, &mut out);
+        }
+        if let Some(e) = out.fault.take() {
+            // A lost shard means lost chain state: refuse further ticks
+            // instead of silently answering from part of the chains.
+            // `epoch_in_flight` stays set for recover().
+            self.poisoned = true;
+            self.stats.set_poisoned(true);
+            self.epoch_out = out;
+            return Err(e);
+        }
         self.epoch_in_flight = 0;
         // Frames nothing else holds any more (no replay log, no worker)
         // serve the next epoch.
@@ -1092,12 +1038,12 @@ impl RealTimeSession {
                 .into_iter()
                 .filter_map(|frame| Arc::try_unwrap(frame).ok()),
         );
-        self.stats.record_kernel(&kernel);
+        self.stats.record_kernel(&out.kernel);
         self.stats.record_epoch(k as u64);
         let per_tick_elapsed = started.elapsed() / k as u32;
         let mut alerts = Vec::with_capacity(k * self.queries.len());
         for j in 0..k {
-            let tick_alerts = self.combine_alerts(&probs[j * total..(j + 1) * total], self.t);
+            let tick_alerts = self.combine_alerts(&out.probs[j * total..(j + 1) * total], self.t);
             self.t += 1;
             self.stats
                 .record_tick(per_tick_elapsed, self.total_chains as u64, parallel);
@@ -1109,14 +1055,13 @@ impl RealTimeSession {
                 .record_query_ticks(tick_alerts.iter().map(|alert| {
                     (
                         alert.query.0,
-                        query_ns.get(alert.query.0).map(|ns| ns / k as u64),
+                        out.query_ns.get(alert.query.0).map(|ns| ns / k as u64),
                         alert.probability,
                     )
                 }));
             alerts.extend(tick_alerts);
         }
-        self.epoch_probs = probs;
-        self.epoch_query_ns = query_ns;
+        self.epoch_out = out;
         Ok(alerts)
     }
 
@@ -1147,114 +1092,92 @@ impl RealTimeSession {
             .collect()
     }
 
-    /// Steps every chain in place, writing per-chain probabilities to
-    /// `probs` (tick-major, global sequence order) and per-query
-    /// nanoseconds to `query_ns`. Uses the same frame arithmetic as the
-    /// worker path ([`step_shard`]), so both paths produce bit-identical
-    /// answers. A panic or injected error mid-loop leaves unknown chains
-    /// half-stepped, so the whole chain set is dropped and the session
-    /// poisoned — recover() then rebuilds everything.
-    fn step_chains_sequential(
-        &mut self,
-        epoch: &[Arc<TickFrame>],
-        probs: &mut [f64],
-        query_ns: &mut [u64],
-    ) -> Result<KernelTickStats, EngineError> {
-        let n_shards = self.shards.len();
-        let mut shards = std::mem::take(&mut self.shards);
-        let total = self.total_chains;
-        let cache = &mut self.sym_cache;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut kernel = KernelTickStats::default();
-            for (j, frame) in epoch.iter().enumerate() {
-                // One cache generation per tick, shared by every shard:
-                // within a tick all chains step against the same staged
-                // marginals, so equal signatures mean equal
-                // distributions across shards too.
-                cache.begin_tick();
-                let row = &mut probs[j * total..(j + 1) * total];
-                for slot in &mut shards {
-                    let shard = slot.as_mut().expect("all shards home between ticks");
-                    let range = shard.start..shard.start + shard.chains.len();
-                    kernel.add(&step_shard(
-                        shard,
-                        frame,
-                        cache,
-                        "sequential_step",
-                        &mut row[range],
-                        query_ns,
-                    )?);
-                }
+    /// Takes shard `w` out for an epoch; an empty shard stays home.
+    fn take_busy_shard(&mut self, w: usize) -> Option<Shard> {
+        let slot = &mut self.shards[w];
+        match slot.take().expect("all shards home between ticks") {
+            shard if shard.chains.is_empty() => {
+                *slot = Some(shard);
+                None
             }
-            Ok::<_, EngineError>(kernel)
-        }));
-        match outcome {
-            Ok(Ok(kernel)) => {
-                self.shards = shards;
-                Ok(kernel)
+            shard => Some(shard),
+        }
+    }
+
+    /// Merges one shard's epoch result into `out` — its probabilities
+    /// into global sequence order, its per-query times and kernel
+    /// counters into the totals — and re-homes the shard. A faulted
+    /// shard stays lost, and the epoch's first fault is kept.
+    fn merge_reply(&mut self, (w, result): Reply, out: &mut EpochOutput) {
+        let (shard, kernel) = match result {
+            Ok(done) => done,
+            Err(e) => {
+                out.fault.get_or_insert(e);
+                return;
             }
-            Ok(Err(e)) => {
-                self.shards = (0..n_shards).map(|_| None).collect();
-                self.poisoned = true;
-                self.stats.set_poisoned(true);
-                Err(e)
-            }
-            Err(payload) => {
-                self.shards = (0..n_shards).map(|_| None).collect();
-                self.poisoned = true;
-                self.stats.set_poisoned(true);
-                Err(EngineError::WorkerPanicked {
-                    worker: None,
-                    message: panic_message(payload),
-                })
-            }
+        };
+        let (n, total) = (shard.chains.len(), self.total_chains);
+        for (j, tick_probs) in shard.probs.chunks_exact(n).enumerate() {
+            let at = j * total + shard.start;
+            out.probs[at..at + n].copy_from_slice(tick_probs);
+        }
+        for (total_ns, &ns) in out.query_ns.iter_mut().zip(&shard.query_ns) {
+            *total_ns = total_ns.saturating_add(ns);
+        }
+        out.kernel.add(&kernel);
+        self.shards[w] = Some(shard);
+    }
+
+    /// Runs every shard's epoch job inline on the caller's thread, with
+    /// the session's symbol cache, merging the results exactly as the
+    /// parallel path does. A shard that faults loses its chains; the
+    /// others still step, as they would on the pool.
+    fn step_chains_sequential(&mut self, epoch: &[Arc<TickFrame>], out: &mut EpochOutput) {
+        let n_queries = self.queries.len();
+        for w in 0..self.shards.len() {
+            let Some(mut shard) = self.take_busy_shard(w) else {
+                continue;
+            };
+            let result = run_shard_epoch(&mut shard, epoch, n_queries, &mut self.sym_cache, None);
+            self.merge_reply((w, result.map(|kernel| (shard, kernel))), out);
         }
     }
 
     /// Ships each shard to the shared pool with the whole epoch's
-    /// marginals and reassembles the per-tick, per-chain probabilities
-    /// in global sequence order — one join for the entire epoch. With
-    /// [`SessionConfig::tick_deadline`] set, a watchdog bounds how long
-    /// the pool may hold the epoch (the per-tick deadline × epoch
-    /// length): exceeding it poisons the session (recoverable) and
-    /// flips it into degraded mode. The reply channel is fresh per
-    /// epoch, so a late reply from an abandoned epoch lands on a dead
-    /// receiver instead of a later epoch's join.
-    fn step_chains_parallel(
-        &mut self,
-        epoch: &[Arc<TickFrame>],
-        probs: &mut [f64],
-        query_ns: &mut [u64],
-    ) -> Result<KernelTickStats, EngineError> {
+    /// frames and merges the replies — one join for the entire epoch.
+    /// With [`SessionConfig::tick_deadline`] set, a watchdog bounds how
+    /// long the pool may hold the epoch (the per-tick deadline × epoch
+    /// length): exceeding it loses the shards still out (recoverable)
+    /// and flips the session into degraded mode. The reply channel is
+    /// fresh per epoch, so a late reply from an abandoned epoch lands on
+    /// a dead receiver instead of a later epoch's join.
+    fn step_chains_parallel(&mut self, epoch: &[Arc<TickFrame>], out: &mut EpochOutput) {
         self.ensure_shards(self.workers);
-        let k = epoch.len();
         let deadline = self
             .config
             .tick_deadline
-            .map(|d| d.saturating_mul(k as u32))
+            .map(|d| d.saturating_mul(epoch.len() as u32))
             .map(|d| (d, Instant::now() + d));
         let (reply_tx, replies) = channel::<Reply>();
         let mut in_flight = 0usize;
-        for (w, slot) in self.shards.iter_mut().enumerate() {
-            let shard = slot.take().expect("all shards home between ticks");
-            if shard.chains.is_empty() {
-                *slot = Some(shard);
+        for w in 0..self.shards.len() {
+            let Some(mut shard) = self.take_busy_shard(w) else {
                 continue;
-            }
-            let job = EpochJob {
-                shard,
-                ticks: epoch.to_vec(),
-                n_queries: self.queries.len(),
             };
+            let ticks = epoch.to_vec();
+            let n_queries = self.queries.len();
             let reply_tx = reply_tx.clone();
-            crate::pool::spawn(move || run_epoch_job(w, job, &reply_tx));
+            crate::pool::spawn(move || {
+                let result = crate::pool::with_sym_cache(|cache| {
+                    run_shard_epoch(&mut shard, &ticks, n_queries, cache, Some(w))
+                });
+                // After a watchdog trip the receiver is gone and the
+                // reply is discarded here.
+                let _ = reply_tx.send((w, result.map(|kernel| (shard, kernel))));
+            });
             in_flight += 1;
         }
         drop(reply_tx);
-        let total = self.total_chains;
-        let mut kernel = KernelTickStats::default();
-        let mut first_error: Option<EngineError> = None;
-        let mut timed_out = false;
         for _ in 0..in_flight {
             let reply = match deadline {
                 None => replies.recv().map_err(|_| None),
@@ -1267,35 +1190,24 @@ impl RealTimeSession {
                 }
             };
             match reply {
-                Ok((w, Ok((shard, (shard_probs, shard_ns, shard_kernel))))) => {
-                    let n = shard.chains.len();
-                    for j in 0..k {
-                        let at = j * total + shard.start;
-                        probs[at..at + n].copy_from_slice(&shard_probs[j * n..(j + 1) * n]);
-                    }
-                    for (total_ns, ns) in query_ns.iter_mut().zip(shard_ns) {
-                        *total_ns = total_ns.saturating_add(ns);
-                    }
-                    kernel.add(&shard_kernel);
-                    self.shards[w] = Some(shard);
-                }
-                Ok((_, Err(e))) => {
-                    first_error.get_or_insert(e);
-                }
+                Ok(reply) => self.merge_reply(reply, out),
                 Err(Some(budget)) => {
                     // Watchdog tripped: shards still in flight are
                     // treated as lost (their late replies land on this
                     // epoch's dropped receiver), and the pool is no
                     // longer trusted until the caller clears degraded
-                    // mode.
+                    // mode. The abandoned jobs still occupy shared-pool
+                    // threads; keep the receiver so recover() can wait
+                    // for them to drain before re-engaging the pool.
                     self.degraded = true;
                     self.stats.set_degraded(true);
-                    timed_out = true;
-                    first_error.get_or_insert(EngineError::TickTimeout { deadline: budget });
+                    out.fault
+                        .get_or_insert(EngineError::TickTimeout { deadline: budget });
+                    self.stalled_epoch = Some(replies);
                     break;
                 }
                 Err(None) => {
-                    first_error.get_or_insert(EngineError::WorkerPanicked {
+                    out.fault.get_or_insert(EngineError::WorkerPanicked {
                         worker: None,
                         message: "session worker pool disconnected".to_owned(),
                     });
@@ -1303,20 +1215,6 @@ impl RealTimeSession {
                 }
             }
         }
-        if let Some(e) = first_error {
-            // A lost shard means lost chain state: refuse further ticks
-            // instead of silently answering from half the chains.
-            self.poisoned = true;
-            self.stats.set_poisoned(true);
-            if timed_out {
-                // The abandoned jobs are still occupying shared-pool
-                // threads; keep the receiver so recover() can wait for
-                // them to drain before re-engaging the pool.
-                self.stalled_epoch = Some(replies);
-            }
-            return Err(e);
-        }
-        Ok(kernel)
     }
 
     /// Snapshots the complete session — per-chain forward distributions
@@ -1674,16 +1572,10 @@ impl RealTimeSession {
             }
         }
         self.shards = (0..n_shards)
-            .map(|_| {
-                Some(Shard {
-                    start: 0,
-                    chains: Vec::new(),
-                    scratch: crate::soa::SoaScratch::default(),
-                })
-            })
+            .map(|_| Some(Shard::new(0, Vec::new())))
             .collect();
         self.repartition(all);
-        // Replays stepped chains outside step_shard; harvest the kernel
+        // Replays stepped chains outside the epoch job; harvest the kernel
         // counters they accumulated so per-path totals stay complete.
         let mut kernel = KernelTickStats::default();
         for slot in &mut self.shards {

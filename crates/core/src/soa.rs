@@ -59,9 +59,6 @@
 //! sub-batches or stepped scalar for that tick. In steady state — the
 //! automaton's reachable closure discovered, which the freeze
 //! heuristics reach within a few ticks — every tick takes the fast path.
-//!
-//! When span tracing is enabled the shard steps chains scalar so the
-//! per-chain `chain_step` spans keep their exact legacy shape.
 
 use crate::chain::{ChainEvaluator, TickFrame};
 use crate::error::EngineError;
@@ -103,18 +100,6 @@ pub(crate) struct SoaScratch {
     /// How many times a plan was built (read by unit tests).
     #[cfg(test)]
     plans_built: u64,
-}
-
-impl SoaScratch {
-    /// Marks that chain masses advanced outside the batched path (the
-    /// tracing-mode scalar loop steps chains directly): any `next`
-    /// matrix a group still holds no longer mirrors its chains, so the
-    /// next batched tick must re-gather instead of swapping it in, and
-    /// it plans afresh.
-    pub(crate) fn invalidate(&mut self) {
-        self.seq = self.seq.wrapping_add(1);
-        self.stamps.clear();
-    }
 }
 
 /// One batch: chains sharing an automaton and a local state numbering.
@@ -225,6 +210,10 @@ fn elapsed_ns(since: Instant) -> u64 {
 /// probability to `probs` (shard order) and adding each query's wall
 /// time to `query_ns` (indexed by query; a batch's time is apportioned
 /// evenly across its lanes). Returns the tick's kernel counters.
+///
+/// Traced as one `soa_group` span per batch (its lane and query counts)
+/// and one `scalar_chains` span over the leftovers, so tracing never
+/// changes which path a chain takes.
 pub(crate) fn step_shard_chains(
     chains: &mut [(usize, ChainEvaluator)],
     frame: &TickFrame,
@@ -249,6 +238,9 @@ pub(crate) fn step_shard_chains(
     // Step the batches (each group is homogeneous in layout, not
     // necessarily in query, so per-query time is apportioned per lane).
     for g in &mut scratch.groups {
+        let _span = crate::trace::span("soa_group")
+            .with("lanes", g.lanes.len() as u64)
+            .with("queries", g.lane_queries.len() as u64);
         let started = Instant::now();
         step_group(g, chains, frame, cache, &mut kernel, probs, seq, true)?;
         let per_lane = elapsed_ns(started) / g.lanes.len().max(1) as u64;
@@ -257,7 +249,9 @@ pub(crate) fn step_shard_chains(
         }
     }
 
-    // Step the leftovers scalar, exactly like the legacy loop.
+    // Step the leftovers scalar, one chain at a time.
+    let _span = (!scratch.singles.is_empty())
+        .then(|| crate::trace::span("scalar_chains").with("chains", scratch.singles.len() as u64));
     for &idx in &scratch.singles {
         let started = Instant::now();
         let (qi, chain) = &mut chains[idx];
@@ -307,7 +301,7 @@ fn plan_groups(chains: &[(usize, ChainEvaluator)], scratch: &mut SoaScratch) {
         };
         let key = (
             desc.automaton_ptr,
-            chain.layout_fp().expect("SoA-eligible chain"),
+            chain.layout_fp(),
             chain.syms_fingerprint(),
         );
         // Linear scan: group counts stay small (one per automaton ×
@@ -618,10 +612,7 @@ fn step_group(
         // once per batch through the shared automaton (frozen table or
         // interpreter — never a chain's numbering, which only
         // `soa_discover` touches).
-        let automaton = chains[g.lanes[0]]
-            .1
-            .soa_automaton()
-            .expect("SoA-eligible lane");
+        let automaton = chains[g.lanes[0]].1.soa_automaton();
         let cache_live = g.cols_ptr == g.ptr
             && layout_same
             && support_same
@@ -744,10 +735,10 @@ fn step_group(
             // Lanes that occupied different states discovered different
             // ids; the snapshot above is only valid if every lane still
             // shares the representative's numbering.
-            let rep_fp = chains[g.lanes[0]].1.layout_fp().expect("SoA-eligible lane");
+            let rep_fp = chains[g.lanes[0]].1.layout_fp();
             let agree = g.lanes[1..]
                 .iter()
-                .all(|&idx| chains[idx].1.layout_fp() == Some(rep_fp));
+                .all(|&idx| chains[idx].1.layout_fp() == rep_fp);
             if agree {
                 continue;
             }
@@ -761,7 +752,7 @@ fn step_group(
                 // only: a sub-batch that diverges again steps scalar.
                 let mut parts: Vec<(u64, Group)> = Vec::new();
                 for &idx in &g.lanes {
-                    let fp = chains[idx].1.layout_fp().expect("SoA-eligible lane");
+                    let fp = chains[idx].1.layout_fp();
                     match parts.iter_mut().find(|(p, _)| *p == fp) {
                         Some((_, sub)) => sub.lanes.push(idx),
                         None => parts.push((
@@ -920,8 +911,8 @@ mod tests {
 
     /// The plan is kept while no chain changes and rebuilt after each
     /// event that can change it: a state discovery, a changed chain list
-    /// (what a repartition hands a shard), a `force_interpreter` toggle
-    /// and an explicit invalidation (the tracing-mode scalar loop).
+    /// (what a repartition hands a shard) and a `force_interpreter`
+    /// toggle.
     #[test]
     fn cached_plan_is_rebuilt_exactly_when_a_chain_changes() {
         let (db, mut chains) = people_chains();
@@ -976,10 +967,6 @@ mod tests {
             scratch.groups[0].lanes.len() + scratch.singles.len(),
             PEOPLE + 1
         );
-
-        scratch.invalidate();
-        assert_eq!(tick(&mut chains, &bottom, &mut scratch), settled + 2);
-        assert_eq!(tick(&mut chains, &bottom, &mut scratch), settled + 2);
     }
 
     #[test]

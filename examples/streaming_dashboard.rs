@@ -164,7 +164,7 @@ fn main() {
     if let Some(path) = &trace_out {
         lahar::core::trace::write_chrome_trace(path).unwrap();
         // Validate: the file must re-parse as Chrome Trace Event JSON
-        // and contain the tick/worker span taxonomy.
+        // and contain the tick/worker/batch span taxonomy.
         let raw = std::fs::read_to_string(path).unwrap();
         let doc = lahar::core::json::parse(&raw).expect("trace file parses as JSON");
         let events = doc
@@ -176,7 +176,7 @@ fn main() {
                 .iter()
                 .any(|e| e.get("name").and_then(|n| n.as_str()) == Some(name))
         };
-        assert!(has("tick") && has("worker_step") && has("chain_step"));
+        assert!(has("tick") && has("worker_step") && has("soa_group"));
         println!("\nchrome trace: {} events -> {path}", events.len());
     }
 

@@ -23,7 +23,7 @@ fn schema_db() -> (Database, Vec<StreamBuilder>) {
     db.declare_stream("At", &["person"], &["loc"]).unwrap();
     let i = db.interner().clone();
     let mut builders = Vec::new();
-    for p in ["joe", "sue", "ann"] {
+    for p in ["joe", "sue", "ann", "bob", "eve", "max"] {
         let b = StreamBuilder::new(&i, "At", &[p], &["a", "h", "c"]);
         db.add_stream(b.clone().independent(vec![]).unwrap())
             .unwrap();
@@ -199,7 +199,9 @@ fn live_endpoint_serves_per_query_prometheus_series() {
 
 /// A traced parallel run must export valid Chrome Trace Event JSON —
 /// parseable by our own parser, with complete events carrying numeric
-/// timestamps and the tick/worker/chain span taxonomy present.
+/// timestamps and the tick/worker/batch span taxonomy present. The two
+/// shards split seven chains 4/3: the first steps one SoA group, the
+/// second's three lanes are too few to batch and step scalar.
 #[test]
 fn chrome_trace_from_parallel_session_is_valid() {
     let _gate = lock_tracer();
@@ -238,13 +240,93 @@ fn chrome_trace_from_parallel_session_is_valid() {
             other => panic!("unexpected event phase {other:?}"),
         }
     }
-    for expected in ["tick", "worker_step", "chain_step"] {
+    for expected in ["tick", "worker_step", "soa_group", "scalar_chains"] {
         assert!(names.contains(expected), "no {expected} span in {names:?}");
     }
 
     drop(session);
     lahar::core::trace::disable();
     lahar::core::trace::clear();
+}
+
+/// Tracing observes without changing what it observes: one sequential
+/// scenario run traced and untraced produces the same alert bits, the
+/// same checkpointed chain states and the same kernel-path counters, so
+/// a trace shows the kernels production runs. The query structures are
+/// used by no other test here, so each run compiles its automata fresh
+/// and the counters repeat exactly.
+#[test]
+fn tracing_changes_no_answer_state_or_kernel_path() {
+    let _gate = lock_tracer();
+    let run = |traced: bool| {
+        lahar::core::trace::clear();
+        if traced {
+            lahar::core::trace::enable();
+        } else {
+            lahar::core::trace::disable();
+        }
+        let (db, builders) = schema_db();
+        let config = SessionConfig::builder()
+            .tick_mode(TickMode::Sequential)
+            .build()
+            .unwrap();
+        let mut session = RealTimeSession::with_config(db, config).unwrap();
+        // One SoA group of six lanes, plus one multi-stream chain that
+        // steps scalar.
+        session
+            .register("walk", "At(p,'a') ; At(p,'h') ; At(p,'c') ; At(p,'a')")
+            .unwrap();
+        session
+            .register("pair", "At('joe','c') ; At('sue','a') ; At('ann','h')")
+            .unwrap();
+        let mut alerts = Vec::new();
+        for t in 0..8 {
+            for (idx, b) in builders.iter().enumerate() {
+                let id = session.database().stream_id_at(idx).unwrap();
+                session.stage(id, marginal_at(b, t, idx)).unwrap();
+            }
+            alerts.extend(
+                session
+                    .tick()
+                    .unwrap()
+                    .iter()
+                    .map(|a| a.probability.to_bits()),
+            );
+        }
+        let ckpt = session.checkpoint().unwrap();
+        let chains = lahar::core::json::parse(&ckpt.to_json())
+            .unwrap()
+            .get("chains")
+            .unwrap()
+            .clone();
+        let s = session.stats().snapshot();
+        let kernel = [
+            s.kernel_fast_steps,
+            s.kernel_frozen_steps,
+            s.kernel_slow_steps,
+            s.kernel_soa_steps,
+            s.kernel_simd_steps,
+            s.sym_cache_hits,
+            s.sym_cache_misses,
+        ];
+        lahar::core::trace::disable();
+        let trace = lahar::core::trace::chrome_trace_json();
+        (alerts, chains, kernel, trace)
+    };
+    let (alerts, chains, kernel, _) = run(false);
+    let (traced_alerts, traced_chains, traced_kernel, trace) = run(true);
+    lahar::core::trace::clear();
+
+    assert_eq!(traced_alerts, alerts);
+    assert_eq!(traced_chains, chains);
+    assert_eq!(
+        traced_kernel, kernel,
+        "fast/frozen/slow/soa/simd/hits/misses"
+    );
+    assert!(kernel[3] + kernel[4] > 0, "no batched steps: {kernel:?}");
+    for span in ["\"name\":\"soa_group\"", "\"name\":\"scalar_chains\""] {
+        assert!(trace.contains(span), "no {span} span in the traced run");
+    }
 }
 
 /// Prometheus label-value escaping survives the full serve path: a

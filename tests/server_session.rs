@@ -395,6 +395,33 @@ fn deeply_nested_frame_is_refused_and_the_connection_survives() {
     client_free_shutdown(server);
 }
 
+/// A peer that streams twice the frame cap without a newline gets one
+/// `protocol` error; the rest of that frame is dropped through its
+/// newline and the same connection keeps serving.
+#[test]
+fn oversized_frame_is_refused_and_the_connection_survives() {
+    use lahar::core::protocol::MAX_FRAME_BYTES;
+    use std::io::{BufRead as _, BufReader, Write as _};
+
+    let server = LaharServer::start(local_config(), schema_db()).unwrap();
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+
+    stream.write_all(&vec![b' '; 2 * MAX_FRAME_BYTES]).unwrap();
+    stream.write_all(b"\n{\"v\":1,\"cmd\":\"ping\"}\n").unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"protocol\"") && line.contains("longer than"),
+        "oversized frame must get a protocol error, got: {line}"
+    );
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"pong\""), "{line}");
+    drop((stream, reader));
+    client_free_shutdown(server);
+}
+
 /// Sessions exist only after an explicit `open`: any other command for
 /// an unknown name answers `unknown_session` instead of implicitly
 /// creating server state, and `open` is bounded by the session cap.
