@@ -10,12 +10,16 @@
 //!   uses Rust's shortest round-trip formatting, so every finite float
 //!   parses back to the **bit-identical** value — the property the
 //!   checkpoint/restore guarantees are built on; and
-//! * a small recursive-descent parser ([`parse`]) returning a
-//!   [`JsonValue`] tree, used by `Checkpoint::from_json`, the wire
-//!   protocol and by tests asserting that emitted documents are actually
-//!   JSON. Nesting is capped at [`MAX_DEPTH`], so hostile input is
-//!   rejected with a [`JsonError`] instead of overflowing the stack.
+//! * one recursive-descent tokenizer, `Cursor`, with two front ends:
+//!   [`parse`] builds a [`JsonValue`] tree (`Checkpoint::from_json`,
+//!   tests asserting that emitted documents are actually JSON), and the
+//!   wire protocol's typed readers ([`crate::protocol::parse_request`])
+//!   decode straight into their own types, with numbers going through
+//!   the same routine either way.
+//!   Nesting is capped at [`MAX_DEPTH`], so hostile input is rejected
+//!   with a [`JsonError`] instead of overflowing the stack.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -47,10 +51,7 @@ impl JsonValue {
 
     /// The value as a non-negative integer, if it is one.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
+        self.as_f64().and_then(exact_u64)
     }
 
     /// The value as a string slice, if it is one.
@@ -81,6 +82,11 @@ impl JsonValue {
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         self.as_object().and_then(|o| o.get(key))
     }
+}
+
+/// A JSON number as a non-negative integer, if it is one.
+pub(crate) fn exact_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0).then_some(n as u64)
 }
 
 /// A parse failure, with the byte offset it occurred at.
@@ -134,7 +140,7 @@ pub fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// Deepest array/object nesting [`parse`] and the wire decoders accept. Readers recurse
 /// once per level, so without a cap a frame of a few thousand `[` would
 /// overflow the thread's stack — an abort no `catch_unwind` can stop.
 /// Every document the engine writes nests a handful of levels deep.
@@ -143,28 +149,38 @@ pub const MAX_DEPTH: usize = 128;
 /// Parses a complete JSON document (trailing whitespace allowed).
 /// Documents nested deeper than [`MAX_DEPTH`] are rejected.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
+    let mut c = Cursor::new(input);
+    let v = c.value()?;
+    c.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// The one JSON tokenizer: a forward cursor over a document that reads
+/// one value at a time. [`parse`] drives it to build a [`JsonValue`]
+/// tree; the wire protocol's typed decoders drive it directly, reading
+/// each member straight into its field and [`Cursor::skip`]ping the
+/// rest, so no tree is ever built. Every reader skips leading whitespace
+/// itself, and [`Cursor::object`] / [`Cursor::array`] enforce
+/// [`MAX_DEPTH`] for typed and skipped values alike.
+#[derive(Debug)]
+pub(crate) struct Cursor<'a> {
+    text: &'a str,
     pos: usize,
     /// Arrays and objects currently open around `pos`.
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `text`.
+    pub(crate) fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// An error at the current position.
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             at: self.pos,
@@ -172,18 +188,44 @@ impl Parser<'_> {
         }
     }
 
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+    /// The current byte offset; [`Cursor::rewind`] returns to it.
+    pub(crate) fn mark(&self) -> usize {
+        self.pos
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// Moves back to an offset taken by [`Cursor::mark`] at the same
+    /// nesting depth.
+    pub(crate) fn rewind(&mut self, mark: usize) {
+        self.pos = mark;
+    }
+
+    /// Requires that only whitespace is left.
+    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+        if self.peek().is_some() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(())
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    /// Skips whitespace and returns the next byte without consuming it:
+    /// `{`, `[`, `"`, `t`/`f`, `n` or a number's first byte for a value.
+    pub(crate) fn peek(&mut self) -> Option<u8> {
+        while let Some(&b) = self.bytes().get(self.pos) {
+            if !matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+                return Some(b);
+            }
+            self.pos += 1;
+        }
+        None
+    }
+
+    /// Whether the next value is a number.
+    pub(crate) fn at_number(&mut self) -> bool {
+        matches!(self.peek(), Some(b'-' | b'0'..=b'9'))
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -195,186 +237,224 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    fn literal(&mut self, lit: &str) -> Result<(), JsonError> {
+        self.peek();
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(self.err(&format!("expected '{lit}'")))
         }
     }
 
+    /// Opens one array or object level, refusing to go past
+    /// [`MAX_DEPTH`]; `body` runs inside it and the level closes even
+    /// when `body` fails, so a caller may [`Cursor::rewind`] and go on.
+    fn nested<E: From<JsonError>>(
+        &mut self,
+        open: u8,
+        body: impl FnOnce(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if self.peek() == Some(open) && self.depth == MAX_DEPTH {
+            return Err(self
+                .err(&format!("nesting deeper than {MAX_DEPTH} levels"))
+                .into());
+        }
+        self.expect(open)?;
+        self.depth += 1;
+        let result = body(self);
+        self.depth -= 1;
+        result
+    }
+
+    /// Reads an object, calling `member` with each key in document
+    /// order; `member` must consume the member's value (with a typed
+    /// reader or [`Cursor::skip`]). Duplicate keys are passed on as
+    /// they come, so a reader that overwrites lets the last one win.
+    pub(crate) fn object<E: From<JsonError>>(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.nested(b'{', |c| {
+            if c.peek() == Some(b'}') {
+                c.pos += 1;
+                return Ok(());
+            }
+            loop {
+                if c.peek() != Some(b'"') {
+                    return Err(c.err("expected '\"'").into());
+                }
+                let key = c.str()?;
+                c.expect(b':')?;
+                member(c, &key)?;
+                match c.peek() {
+                    Some(b',') => c.pos += 1,
+                    Some(b'}') => {
+                        c.pos += 1;
+                        return Ok(());
+                    }
+                    _ => return Err(c.err("expected ',' or '}'").into()),
+                }
+            }
+        })
+    }
+
+    /// Reads an array, calling `element` once per element; `element`
+    /// must consume the element's value.
+    pub(crate) fn array<E: From<JsonError>>(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.nested(b'[', |c| {
+            if c.peek() == Some(b']') {
+                c.pos += 1;
+                return Ok(());
+            }
+            loop {
+                element(c)?;
+                match c.peek() {
+                    Some(b',') => c.pos += 1,
+                    Some(b']') => {
+                        c.pos += 1;
+                        return Ok(());
+                    }
+                    _ => return Err(c.err("expected ',' or ']'").into()),
+                }
+            }
+        })
+    }
+
+    /// Reads any value into a tree.
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.object(|c, key| {
+                    let v = c.value()?;
+                    map.insert(key.to_owned(), v);
+                    Ok::<_, JsonError>(())
+                })?;
+                Ok(JsonValue::Object(map))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|c| {
+                    items.push(c.value()?);
+                    Ok::<_, JsonError>(())
+                })?;
+                Ok(JsonValue::Array(items))
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b't' | b'f') => self.bool().map(JsonValue::Bool),
+            Some(b'n') => self.literal("null").map(|()| JsonValue::Null),
+            Some(b'-' | b'0'..=b'9') => self.number().map(JsonValue::Number),
             _ => Err(self.err("expected a value")),
         }
     }
 
-    /// Parses one array or object one level deeper, refusing to go past
-    /// [`MAX_DEPTH`].
-    fn nested(
-        &mut self,
-        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
-    ) -> Result<JsonValue, JsonError> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
-        }
-        self.depth += 1;
-        let v = parse(self);
-        self.depth -= 1;
-        v
-    }
-
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            map.insert(key, v);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
+    /// Consumes any value without building it (nesting still capped).
+    pub(crate) fn skip(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'{') => self.object(|c, _| c.skip()),
+            Some(b'[') => self.array(Self::skip),
+            Some(b'"') => self.str().map(drop),
+            Some(b't' | b'f') => self.bool().map(drop),
+            Some(b'n') => self.literal("null"),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            _ => Err(self.err("expected a value")),
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
+    /// Reads `true` or `false`.
+    pub(crate) fn bool(&mut self) -> Result<bool, JsonError> {
+        if self.peek() == Some(b't') {
+            self.literal("true").map(|()| true)
+        } else {
+            self.literal("false").map(|()| false)
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Reads a string, unescaped.
+    pub(crate) fn string(&mut self) -> Result<String, JsonError> {
+        self.str().map(Cow::into_owned)
+    }
+
+    /// Reads a string, borrowing it from the input when it holds no
+    /// escapes (the common case for keys and names).
+    fn str(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let text = self.text;
+        let mut run = self.pos;
+        let mut out: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not needed by our own
-                            // writers; reject rather than mis-decode.
-                            let c = char::from_u32(hex)
-                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
+            // Quotes and backslashes are ASCII, so every run between
+            // them is whole UTF-8 and slices `text` on char boundaries.
+            let Some(len) = self.bytes()[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = text.len();
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += len;
+            let chunk = &text[run..self.pos];
+            if self.bytes()[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(match out {
+                    None => Cow::Borrowed(chunk),
+                    Some(mut s) => {
+                        s.push_str(chunk);
+                        Cow::Owned(s)
                     }
-                    self.pos += 1;
-                }
-                Some(b) => {
-                    // Consume one UTF-8 character. The input is a &str
-                    // and `pos` only ever advances by whole characters,
-                    // so decoding the lead byte's span always succeeds;
-                    // the error arm keeps the parser total without any
-                    // `unsafe` (the workspace denies `unsafe_code`
-                    // outside the simd kernel module).
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = (self.pos + len).min(self.bytes.len());
-                    let c = std::str::from_utf8(&self.bytes[self.pos..end])
-                        .ok()
-                        .and_then(|s| s.chars().next())
-                        .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                });
             }
+            let s = out.get_or_insert_with(String::new);
+            s.push_str(chunk);
+            self.pos += 1;
+            match self.bytes().get(self.pos) {
+                Some(b'"') => s.push('"'),
+                Some(b'\\') => s.push('\\'),
+                Some(b'/') => s.push('/'),
+                Some(b'n') => s.push('\n'),
+                Some(b'r') => s.push('\r'),
+                Some(b't') => s.push('\t'),
+                Some(b'b') => s.push('\u{8}'),
+                Some(b'f') => s.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = text
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| self.err("truncated \\u escape"))?;
+                    let hex =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                    // Surrogate pairs are not needed by our own
+                    // writers; reject rather than mis-decode.
+                    let c = char::from_u32(hex)
+                        .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
+                    s.push(c);
+                    self.pos += 4;
+                }
+                _ => return Err(self.err("bad escape")),
+            }
+            self.pos += 1;
+            run = self.pos;
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    /// Reads a number with the standard library's correctly rounded
+    /// parser, so every shortest round-trip `f64` ([`push_f64`]) comes
+    /// back bit-identical. The scan takes every byte that can occur in a
+    /// number and leaves the grammar to that parser: in valid JSON a
+    /// number is never followed by such a byte.
+    pub(crate) fn number(&mut self) -> Result<f64, JsonError> {
+        self.peek();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(JsonValue::Number)
+        let len = self.bytes()[start..]
+            .iter()
+            .position(|b| !matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            .unwrap_or(self.text.len() - start);
+        self.pos += len;
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map_err(|_| self.err("bad number"))
     }
 }

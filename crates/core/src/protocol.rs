@@ -22,7 +22,7 @@
 //! applied-and-acked. See `PROTOCOL.md` § Acknowledgement durability.
 
 use crate::error::EngineError;
-use crate::json::{self, JsonValue};
+use crate::json::{self, Cursor, JsonError};
 
 /// The protocol version this build speaks.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -505,99 +505,264 @@ pub fn encode_response(r: &Response) -> String {
 // ---------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------
+//
+// Frames decode in one pass over a `json::Cursor`: each known member is
+// read straight into a typed slot and every other member is skipped, so
+// no tree is built and every probability goes from text to `f64` once.
+// A member of the wrong shape does not fail the frame on the spot: its
+// slot records the error and the value is skipped. So, as with a parsed
+// tree, a later duplicate key replaces it, and a member the command does
+// not use cannot fail it.
 
 fn proto_err(msg: impl Into<String>) -> EngineError {
     EngineError::Protocol(msg.into())
 }
 
-fn req_str(v: &JsonValue, field: &str) -> Result<String, EngineError> {
-    v.get(field)
-        .and_then(JsonValue::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| proto_err(format!("missing or non-string field '{field}'")))
+fn bad_frame(e: JsonError) -> EngineError {
+    proto_err(format!("bad frame: {e}"))
 }
 
-fn req_u64(v: &JsonValue, field: &str) -> Result<u64, EngineError> {
-    v.get(field)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| proto_err(format!("missing or non-integer field '{field}'")))
+/// Why a typed read failed.
+enum Fail {
+    /// The text is not JSON: the whole frame is rejected.
+    Json(JsonError),
+    /// The text is JSON of the wrong shape for the member.
+    Shape(String),
 }
 
-fn req_bool(v: &JsonValue, field: &str) -> Result<bool, EngineError> {
-    match v.get(field) {
-        Some(JsonValue::Bool(b)) => Ok(*b),
-        _ => Err(proto_err(format!("missing or non-boolean field '{field}'"))),
+impl From<JsonError> for Fail {
+    fn from(e: JsonError) -> Self {
+        Fail::Json(e)
     }
 }
 
-fn f64_array(v: &JsonValue, what: &str) -> Result<Vec<f64>, EngineError> {
-    v.as_array()
-        .ok_or_else(|| proto_err(format!("{what} is not an array")))?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .ok_or_else(|| proto_err(format!("{what} contains a non-number")))
-        })
-        .collect()
+/// A member as last seen in its object: `None` when absent, else its
+/// value or what was wrong with it.
+type Slot<T> = Option<Result<T, String>>;
+
+/// Reads one member's value into `slot`. A shape error is recorded in
+/// the slot, and the value is skipped from its start.
+fn member<'a, T>(
+    c: &mut Cursor<'a>,
+    slot: &mut Slot<T>,
+    read: impl FnOnce(&mut Cursor<'a>) -> Result<T, Fail>,
+) -> Result<(), JsonError> {
+    let mark = c.mark();
+    *slot = Some(match read(c) {
+        Ok(v) => Ok(v),
+        Err(Fail::Shape(why)) => {
+            c.rewind(mark);
+            c.skip()?;
+            Err(why)
+        }
+        Err(Fail::Json(e)) => return Err(e),
+    });
+    Ok(())
 }
 
-fn parse_marginal(m: &JsonValue) -> Result<WireMarginal, EngineError> {
-    let key = m
-        .get("key")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| proto_err("marginal key is not an array"))?
-        .iter()
-        .map(|k| {
-            k.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| proto_err("marginal key element is not a string"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(WireMarginal {
-        stream_type: req_str(m, "type")?,
-        key,
-        probs: f64_array(
-            m.get("probs").ok_or_else(|| proto_err("missing 'probs'"))?,
-            "probs",
-        )?,
+/// The value of a required member, or why there is none.
+fn required<T>(slot: Slot<T>, name: &str) -> Result<T, String> {
+    match slot {
+        None => Err(format!("missing field '{name}'")),
+        Some(Ok(v)) => Ok(v),
+        Some(Err(why)) => Err(format!("field '{name}' {why}")),
+    }
+}
+
+/// The value of an optional member; present but malformed is an error.
+fn optional<T>(slot: Slot<T>, name: &str) -> Result<Option<T>, String> {
+    match slot {
+        None => Ok(None),
+        some => required(some, name).map(Some),
+    }
+}
+
+fn shape<T>(why: &str) -> Result<T, Fail> {
+    Err(Fail::Shape(why.to_owned()))
+}
+
+fn read_string(c: &mut Cursor<'_>) -> Result<String, Fail> {
+    if c.peek() != Some(b'"') {
+        return shape("is not a string");
+    }
+    Ok(c.string()?)
+}
+
+fn read_u64(c: &mut Cursor<'_>) -> Result<u64, Fail> {
+    if !c.at_number() {
+        return shape("is not an unsigned integer");
+    }
+    json::exact_u64(c.number()?).map_or_else(|| shape("is not an unsigned integer"), Ok)
+}
+
+fn read_f64(c: &mut Cursor<'_>) -> Result<f64, Fail> {
+    if !c.at_number() {
+        return shape("is not a number");
+    }
+    Ok(c.number()?)
+}
+
+fn read_bool(c: &mut Cursor<'_>) -> Result<bool, Fail> {
+    match c.peek() {
+        Some(b't' | b'f') => Ok(c.bool()?),
+        _ => shape("is not a boolean"),
+    }
+}
+
+/// Reads an array whose every element decodes with `read`.
+fn read_list<'a, T>(
+    c: &mut Cursor<'a>,
+    read: impl Fn(&mut Cursor<'a>) -> Result<T, Fail>,
+) -> Result<Vec<T>, Fail> {
+    let mut out = Vec::new();
+    read_list_into(c, &mut out, read).map(|()| out)
+}
+
+/// [`read_list`], appending to `out`.
+fn read_list_into<'a, T>(
+    c: &mut Cursor<'a>,
+    out: &mut Vec<T>,
+    read: impl Fn(&mut Cursor<'a>) -> Result<T, Fail>,
+) -> Result<(), Fail> {
+    if c.peek() != Some(b'[') {
+        return shape("is not an array");
+    }
+    c.array(|c| match read(c) {
+        Ok(v) => {
+            out.push(v);
+            Ok(())
+        }
+        Err(Fail::Shape(why)) => shape(&format!("element {} {why}", out.len())),
+        Err(e) => Err(e),
     })
 }
 
-fn parse_marginals(v: &JsonValue) -> Result<Vec<WireMarginal>, EngineError> {
-    v.get("marginals")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| proto_err("missing 'marginals' array"))?
-        .iter()
-        .map(parse_marginal)
-        .collect()
+/// Reads an array of numbers into an exactly sized `Vec`. The numbers
+/// collect in a per-thread scratch buffer first, so a probability vector
+/// costs one allocation rather than one per doubling, and the `Vec` a
+/// `Marginal` later keeps holds no spare capacity.
+fn read_f64s(c: &mut Cursor<'_>) -> Result<Vec<f64>, Fail> {
+    thread_local! {
+        static SCRATCH: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
+    }
+    let mut scratch = SCRATCH.take();
+    scratch.clear();
+    let read = read_list_into(c, &mut scratch, read_f64).map(|()| scratch.to_vec());
+    SCRATCH.set(scratch);
+    read
 }
 
-fn parse_ticks(v: &JsonValue) -> Result<Vec<Vec<WireMarginal>>, EngineError> {
-    v.get("ticks")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| proto_err("missing 'ticks' array"))?
-        .iter()
-        .map(|tick| {
-            tick.as_array()
-                .ok_or_else(|| proto_err("ticks element is not an array"))?
-                .iter()
-                .map(parse_marginal)
-                .collect()
+/// Reads an object, handing each member to `read_member`.
+fn read_object<'a>(
+    c: &mut Cursor<'a>,
+    read_member: impl FnMut(&mut Cursor<'a>, &str) -> Result<(), JsonError>,
+) -> Result<(), Fail> {
+    if c.peek() != Some(b'{') {
+        return shape("is not an object");
+    }
+    Ok(c.object(read_member)?)
+}
+
+/// Reads a frame: one object, each member handed to `read_member`. Any
+/// other document is still read through, so a malformed one reports
+/// what is wrong with it (over-deep nesting, say), then refused.
+fn read_frame<'a>(
+    line: &'a str,
+    read_member: impl FnMut(&mut Cursor<'a>, &str) -> Result<(), JsonError>,
+) -> Result<(), EngineError> {
+    let mut c = Cursor::new(line);
+    if c.peek() != Some(b'{') {
+        c.skip().and_then(|()| c.finish()).map_err(bad_frame)?;
+        return Err(proto_err("frame is not a JSON object"));
+    }
+    c.object(read_member)
+        .and_then(|()| c.finish())
+        .map_err(bad_frame)
+}
+
+fn read_marginal(c: &mut Cursor<'_>) -> Result<WireMarginal, Fail> {
+    let (mut stream_type, mut key, mut probs) = (None, None, None);
+    read_object(c, |c, k| match k {
+        "type" => member(c, &mut stream_type, read_string),
+        "key" => member(c, &mut key, |c| read_list(c, read_string)),
+        "probs" => member(c, &mut probs, read_f64s),
+        _ => c.skip(),
+    })?;
+    let marginal = || {
+        Ok(WireMarginal {
+            stream_type: required(stream_type, "type")?,
+            key: required(key, "key")?,
+            probs: required(probs, "probs")?,
         })
-        .collect()
+    };
+    marginal().map_err(Fail::Shape)
 }
 
-/// Extracts the optional request-correlation `id` from a parsed frame.
-/// A present-but-malformed id is a protocol error rather than being
-/// silently dropped — the client is clearly speaking the extension and
-/// would otherwise mis-correlate replies.
-fn parse_request_id(v: &JsonValue) -> Result<Option<u64>, EngineError> {
-    match v.get("id") {
-        None => Ok(None),
-        Some(id) => id
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| proto_err("'id' is not an unsigned integer")),
+fn read_marginals(c: &mut Cursor<'_>) -> Result<Vec<WireMarginal>, Fail> {
+    read_list(c, read_marginal)
+}
+
+/// The members a request frame may carry.
+#[derive(Default)]
+struct RequestFields {
+    v: Slot<u64>,
+    id: Slot<u64>,
+    cmd: Slot<String>,
+    session: Slot<String>,
+    name: Slot<String>,
+    query: Slot<String>,
+    marginals: Slot<Vec<WireMarginal>>,
+    tick: Slot<bool>,
+    ticks: Slot<Vec<Vec<WireMarginal>>>,
+}
+
+impl RequestFields {
+    /// The command these members spell. The version is checked first,
+    /// then a present `id` (a malformed one is an error rather than
+    /// dropped: the client is clearly speaking the extension and would
+    /// otherwise mis-correlate replies), then the command's own members.
+    fn command(self) -> Result<(Command, Option<u64>), String> {
+        if let Some(ver) = optional(self.v, "v")? {
+            if ver != u64::from(PROTOCOL_VERSION) {
+                return Err(format!(
+                    "unsupported protocol version {ver} (this build speaks {PROTOCOL_VERSION})"
+                ));
+            }
+        }
+        let id = optional(self.id, "id")?;
+        let cmd = match required(self.cmd, "cmd")?.as_str() {
+            "ping" => Command::Ping,
+            "shutdown" => Command::Shutdown,
+            "open" => Command::Open {
+                session: required(self.session, "session")?,
+            },
+            "register" => Command::Register {
+                session: required(self.session, "session")?,
+                name: required(self.name, "name")?,
+                query: required(self.query, "query")?,
+            },
+            "stage" => Command::Stage {
+                session: required(self.session, "session")?,
+                marginals: required(self.marginals, "marginals")?,
+                tick: required(self.tick, "tick")?,
+            },
+            "stage_ticks" => Command::StageTicks {
+                session: required(self.session, "session")?,
+                ticks: required(self.ticks, "ticks")?,
+            },
+            "tick" => Command::Tick {
+                session: required(self.session, "session")?,
+            },
+            "series" => Command::Series {
+                session: required(self.session, "session")?,
+                query: required(self.query, "query")?,
+            },
+            "checkpoint" => Command::Checkpoint {
+                session: required(self.session, "session")?,
+            },
+            other => return Err(format!("unknown command '{other}'")),
+        };
+        Ok((cmd, id))
     }
 }
 
@@ -608,53 +773,102 @@ pub fn parse_command(line: &str) -> Result<Command, EngineError> {
     parse_request(line).map(|(c, _)| c)
 }
 
-/// Parses one request line together with its optional correlation `id`.
+/// Parses one request line together with its optional correlation `id`,
+/// in one typed pass over the text.
 pub fn parse_request(line: &str) -> Result<(Command, Option<u64>), EngineError> {
-    let v = json::parse(line).map_err(|e| proto_err(format!("bad frame: {e}")))?;
-    if let Some(ver) = v.get("v") {
-        let ver = ver
-            .as_u64()
-            .ok_or_else(|| proto_err("'v' is not an integer"))?;
-        if ver != u64::from(PROTOCOL_VERSION) {
-            return Err(proto_err(format!(
-                "unsupported protocol version {ver} (this build speaks {PROTOCOL_VERSION})"
-            )));
-        }
+    let mut f = RequestFields::default();
+    read_frame(line, |c, key| match key {
+        "v" => member(c, &mut f.v, read_u64),
+        "id" => member(c, &mut f.id, read_u64),
+        "cmd" => member(c, &mut f.cmd, read_string),
+        "session" => member(c, &mut f.session, read_string),
+        "name" => member(c, &mut f.name, read_string),
+        "query" => member(c, &mut f.query, read_string),
+        "marginals" => member(c, &mut f.marginals, read_marginals),
+        "tick" => member(c, &mut f.tick, read_bool),
+        "ticks" => member(c, &mut f.ticks, |c| read_list(c, read_marginals)),
+        _ => c.skip(),
+    })?;
+    f.command().map_err(proto_err)
+}
+
+fn read_alert(c: &mut Cursor<'_>) -> Result<WireAlert, Fail> {
+    let (mut query, mut name, mut t, mut probability) = (None, None, None, None);
+    read_object(c, |c, k| match k {
+        "query" => member(c, &mut query, read_u64),
+        "name" => member(c, &mut name, read_string),
+        "t" => member(c, &mut t, read_u64),
+        "probability" => member(c, &mut probability, read_f64),
+        _ => c.skip(),
+    })?;
+    let alert = || {
+        Ok(WireAlert {
+            query: required(query, "query")? as usize,
+            name: required(name, "name")?,
+            t: required(t, "t")? as u32,
+            probability: required(probability, "probability")?,
+        })
+    };
+    alert().map_err(Fail::Shape)
+}
+
+/// The members a response frame may carry. `query` is a name in
+/// `series` answers and an index in `registered` ones, so it fills one
+/// slot or the other.
+#[derive(Default)]
+struct ResponseFields {
+    id: Slot<u64>,
+    kind: Slot<String>,
+    version: Slot<u64>,
+    t: Slot<u64>,
+    restored: Slot<bool>,
+    query_name: Slot<String>,
+    query_index: Slot<u64>,
+    staged: Slot<u64>,
+    alerts: Slot<Vec<WireAlert>>,
+    series: Slot<Vec<f64>>,
+    code: Slot<String>,
+    message: Slot<String>,
+}
+
+impl ResponseFields {
+    fn response(self) -> Result<(Response, Option<u64>), String> {
+        let id = optional(self.id, "id")?;
+        let t = self.t;
+        let r = match required(self.kind, "type")?.as_str() {
+            "pong" => Response::Pong {
+                version: required(self.version, "version")? as u32,
+            },
+            "opened" => Response::Opened {
+                t: required(t, "t")? as u32,
+                restored: required(self.restored, "restored")?,
+            },
+            "registered" => Response::Registered {
+                query: required(self.query_index, "query")? as usize,
+            },
+            "staged" => Response::Staged {
+                staged: required(self.staged, "staged")? as usize,
+            },
+            "ticked" => Response::Ticked {
+                alerts: required(self.alerts, "alerts")?,
+                t: required(t, "t")? as u32,
+            },
+            "series" => Response::Series {
+                query: required(self.query_name, "query")?,
+                series: required(self.series, "series")?,
+            },
+            "checkpointed" => Response::Checkpointed {
+                t: required(t, "t")? as u32,
+            },
+            "shutting_down" => Response::ShuttingDown,
+            "error" => Response::Error {
+                code: WireCode::from_wire(&required(self.code, "code")?),
+                message: required(self.message, "message")?,
+            },
+            other => return Err(format!("unknown response type '{other}'")),
+        };
+        Ok((r, id))
     }
-    let id = parse_request_id(&v)?;
-    let cmd = match req_str(&v, "cmd")?.as_str() {
-        "ping" => Ok(Command::Ping),
-        "shutdown" => Ok(Command::Shutdown),
-        "open" => Ok(Command::Open {
-            session: req_str(&v, "session")?,
-        }),
-        "register" => Ok(Command::Register {
-            session: req_str(&v, "session")?,
-            name: req_str(&v, "name")?,
-            query: req_str(&v, "query")?,
-        }),
-        "stage" => Ok(Command::Stage {
-            session: req_str(&v, "session")?,
-            marginals: parse_marginals(&v)?,
-            tick: req_bool(&v, "tick")?,
-        }),
-        "stage_ticks" => Ok(Command::StageTicks {
-            session: req_str(&v, "session")?,
-            ticks: parse_ticks(&v)?,
-        }),
-        "tick" => Ok(Command::Tick {
-            session: req_str(&v, "session")?,
-        }),
-        "series" => Ok(Command::Series {
-            session: req_str(&v, "session")?,
-            query: req_str(&v, "query")?,
-        }),
-        "checkpoint" => Ok(Command::Checkpoint {
-            session: req_str(&v, "session")?,
-        }),
-        other => Err(proto_err(format!("unknown command '{other}'"))),
-    }?;
-    Ok((cmd, id))
 }
 
 /// Parses one response line.
@@ -664,64 +878,30 @@ pub fn parse_response(line: &str) -> Result<Response, EngineError> {
 
 /// Parses one response line together with its optional echoed `id`.
 pub fn parse_response_with_id(line: &str) -> Result<(Response, Option<u64>), EngineError> {
-    let v = json::parse(line).map_err(|e| proto_err(format!("bad frame: {e}")))?;
-    let id = parse_request_id(&v)?;
-    let r = match req_str(&v, "type")?.as_str() {
-        "pong" => Ok(Response::Pong {
-            version: req_u64(&v, "version")? as u32,
-        }),
-        "opened" => Ok(Response::Opened {
-            t: req_u64(&v, "t")? as u32,
-            restored: req_bool(&v, "restored")?,
-        }),
-        "registered" => Ok(Response::Registered {
-            query: req_u64(&v, "query")? as usize,
-        }),
-        "staged" => Ok(Response::Staged {
-            staged: req_u64(&v, "staged")? as usize,
-        }),
-        "ticked" => {
-            let alerts = v
-                .get("alerts")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| proto_err("missing 'alerts' array"))?
-                .iter()
-                .map(|a| {
-                    Ok(WireAlert {
-                        query: req_u64(a, "query")? as usize,
-                        name: req_str(a, "name")?,
-                        t: req_u64(a, "t")? as u32,
-                        probability: a
-                            .get("probability")
-                            .and_then(JsonValue::as_f64)
-                            .ok_or_else(|| proto_err("missing 'probability'"))?,
-                    })
-                })
-                .collect::<Result<Vec<_>, EngineError>>()?;
-            Ok(Response::Ticked {
-                t: req_u64(&v, "t")? as u32,
-                alerts,
-            })
+    let mut f = ResponseFields::default();
+    read_frame(line, |c, key| match key {
+        "id" => member(c, &mut f.id, read_u64),
+        "type" => member(c, &mut f.kind, read_string),
+        "version" => member(c, &mut f.version, read_u64),
+        "t" => member(c, &mut f.t, read_u64),
+        "restored" => member(c, &mut f.restored, read_bool),
+        "query" => {
+            if c.peek() == Some(b'"') {
+                f.query_index = Some(Err("is not an unsigned integer".to_owned()));
+                member(c, &mut f.query_name, read_string)
+            } else {
+                f.query_name = Some(Err("is not a string".to_owned()));
+                member(c, &mut f.query_index, read_u64)
+            }
         }
-        "series" => Ok(Response::Series {
-            query: req_str(&v, "query")?,
-            series: f64_array(
-                v.get("series")
-                    .ok_or_else(|| proto_err("missing 'series'"))?,
-                "series",
-            )?,
-        }),
-        "checkpointed" => Ok(Response::Checkpointed {
-            t: req_u64(&v, "t")? as u32,
-        }),
-        "shutting_down" => Ok(Response::ShuttingDown),
-        "error" => Ok(Response::Error {
-            code: WireCode::from_wire(&req_str(&v, "code")?),
-            message: req_str(&v, "message")?,
-        }),
-        other => Err(proto_err(format!("unknown response type '{other}'"))),
-    }?;
-    Ok((r, id))
+        "staged" => member(c, &mut f.staged, read_u64),
+        "alerts" => member(c, &mut f.alerts, |c| read_list(c, read_alert)),
+        "series" => member(c, &mut f.series, read_f64s),
+        "code" => member(c, &mut f.code, read_string),
+        "message" => member(c, &mut f.message, read_string),
+        _ => c.skip(),
+    })?;
+    f.response().map_err(proto_err)
 }
 
 #[cfg(test)]

@@ -107,13 +107,21 @@ enum Slot {
     },
 }
 
+/// How many bytes one `read(2)` may take: a whole 12 KB `stage` frame
+/// in one call.
+const READ_CHUNK: usize = 64 << 10;
+
 /// One client connection's state.
 struct Conn {
     stream: TcpStream,
-    /// Partial NDJSON frame carried across reads: a command split
-    /// across arbitrarily many writes (or an arbitrarily long pause)
-    /// reassembles when its newline finally arrives.
+    /// Read buffer; `rbuf[..filled]` holds the partial NDJSON frame
+    /// carried across reads: a command split across arbitrarily many
+    /// writes (or an arbitrarily long pause) reassembles when its
+    /// newline finally arrives. Reads land straight in the spare tail,
+    /// which is zeroed once when the buffer grows and reused after.
     rbuf: Vec<u8>,
+    /// Bytes of `rbuf` that hold received data.
+    filled: usize,
     /// How far `rbuf` has been scanned for a newline already.
     scanned: usize,
     /// An oversized frame was answered; its bytes are dropped through
@@ -138,6 +146,7 @@ impl Conn {
         Self {
             stream,
             rbuf: Vec::new(),
+            filled: 0,
             scanned: 0,
             discarding: false,
             out: VecDeque::new(),
@@ -224,7 +233,14 @@ pub(crate) fn run(listener: TcpListener, wake: TcpStream, shared: &Arc<Shared>) 
             std::thread::sleep(Duration::from_millis(10));
         }
 
-        // --- Drain the wake pipe (level-triggered; empty it fully).
+        // --- Drain the wake pipe (level-triggered; empty it fully),
+        // *then* take the completion queue. Workers wake the reactor
+        // only when their push makes the queue non-empty, so this order
+        // is what keeps a completion from being stranded: a push seen
+        // as non-empty happened before the take below, which collects
+        // it, and a push into an empty queue leaves a wake byte that
+        // this drain consumed (the take then follows the push) or that
+        // the next poll reports.
         if fds[0].revents & (POLLIN | POLLERR | POLLHUP) != 0 {
             let mut buf = [0u8; 64];
             loop {
@@ -323,18 +339,20 @@ pub(crate) fn run(listener: TcpListener, wake: TcpStream, shared: &Arc<Shared>) 
 /// dispatches them (claiming output slots in arrival order). Returns
 /// `false` when the connection is broken and must be dropped.
 fn read_and_dispatch(conn: &mut Conn, conn_id: u64, shared: &Arc<Shared>) -> bool {
-    let mut buf = [0u8; 4096];
     loop {
-        match conn.stream.read(&mut buf) {
+        if conn.rbuf.len() < conn.filled + READ_CHUNK {
+            conn.rbuf.resize(conn.filled + READ_CHUNK, 0);
+        }
+        match conn.stream.read(&mut conn.rbuf[conn.filled..]) {
             Ok(0) => {
                 conn.eof = true;
                 break;
             }
             Ok(n) => {
-                conn.rbuf.extend_from_slice(&buf[..n]);
+                conn.filled += n;
                 // A peer may keep the socket readable indefinitely;
                 // deframe as soon as the buffer passes the cap.
-                if conn.rbuf.len() > MAX_FRAME_BYTES {
+                if conn.filled > MAX_FRAME_BYTES {
                     dispatch_frames(conn, conn_id, shared);
                 }
             }
@@ -353,7 +371,10 @@ fn read_and_dispatch(conn: &mut Conn, conn_id: u64, shared: &Arc<Shared>) -> boo
 fn dispatch_frames(conn: &mut Conn, conn_id: u64, shared: &Arc<Shared>) {
     let mut start = 0;
     let mut scan_from = conn.scanned;
-    while let Some(nl) = conn.rbuf[scan_from..].iter().position(|&b| b == b'\n') {
+    while let Some(nl) = conn.rbuf[scan_from..conn.filled]
+        .iter()
+        .position(|&b| b == b'\n')
+    {
         let end = scan_from + nl;
         let frame = start..end;
         start = end + 1;
@@ -366,17 +387,18 @@ fn dispatch_frames(conn: &mut Conn, conn_id: u64, shared: &Arc<Shared>) {
             continue;
         }
         let text = String::from_utf8_lossy(&conn.rbuf[frame]);
-        if text.trim().is_empty() {
+        let line = text.trim_end();
+        if line.trim_start().is_empty() {
             continue;
         }
-        let parsed = parse_request(text.trim_end());
+        let parsed = parse_request(line);
         let span = req_span(
             "serve_request",
             parsed.as_ref().ok().and_then(|(_, id)| *id),
         );
         let seq = conn.next_seq;
         conn.next_seq += 1;
-        match dispatch(shared, parsed, conn_id, seq) {
+        match dispatch(shared, parsed, line, conn_id, seq) {
             Dispatched::Inline(outcome) => {
                 let closing = matches!(outcome.response, Response::ShuttingDown);
                 conn.out.push_back(ready_slot(outcome, closing));
@@ -387,15 +409,16 @@ fn dispatch_frames(conn: &mut Conn, conn_id: u64, shared: &Arc<Shared>) {
         }
         drop(span);
     }
-    conn.rbuf.drain(..start);
-    if !conn.discarding && conn.rbuf.len() > MAX_FRAME_BYTES {
+    conn.rbuf.copy_within(start..conn.filled, 0);
+    conn.filled -= start;
+    if !conn.discarding && conn.filled > MAX_FRAME_BYTES {
         refuse_oversized(conn);
         conn.discarding = true;
     }
     if conn.discarding {
-        conn.rbuf.clear();
+        conn.filled = 0;
     }
-    conn.scanned = conn.rbuf.len();
+    conn.scanned = conn.filled;
 }
 
 /// Answers a frame longer than [`MAX_FRAME_BYTES`] with a `protocol`

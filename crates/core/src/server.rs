@@ -52,7 +52,7 @@ use crate::session::{Alert, RealTimeSession, SessionConfig};
 use crate::stats::{EngineStats, Histogram, StatsSnapshot};
 use crate::trace;
 use crate::wal::{self, Durability, WalMarginal, WalOp, WalWriter};
-use lahar_model::{Database, Marginal, StreamKey, Value};
+use lahar_model::{Database, Marginal, StreamId, StreamKey, Value};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -355,6 +355,9 @@ pub(crate) struct Completion {
 struct Job {
     session: String,
     cmd: Command,
+    /// The request frame the command was decoded from, as it arrived;
+    /// the write-ahead log records it verbatim.
+    frame: String,
     ctx: RequestCtx,
     reply: ReplyTo,
 }
@@ -413,8 +416,9 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Wakes the reactor out of `poll`. Called by shard workers after
-    /// pushing a completion and by [`initiate_shutdown`].
+    /// Wakes the reactor out of `poll`. Called by a shard worker whose
+    /// completion push made the queue non-empty, and by
+    /// [`initiate_shutdown`].
     pub(crate) fn wake_reactor(&self) {
         // &TcpStream implements Write; WouldBlock means wakes are
         // already pending and the reactor will drain them.
@@ -1017,12 +1021,14 @@ pub(crate) enum Dispatched {
 
 /// Routes one parsed frame on the reactor thread: protocol errors and
 /// server-level commands are answered inline; session commands travel
-/// to their shard's bounded queue wrapped in a [`RequestCtx`], and the
+/// to their shard's bounded queue, together with the `frame` text they
+/// were decoded from and wrapped in a [`RequestCtx`], and the
 /// worker's phase timings come back as a [`Completion`] addressed to
 /// `(conn_id, seq)`. Never blocks.
 pub(crate) fn dispatch(
     shared: &Shared,
     parsed: Result<(Command, Option<u64>), EngineError>,
+    frame: &str,
     conn_id: u64,
     seq: u64,
 ) -> Dispatched {
@@ -1080,6 +1086,7 @@ pub(crate) fn dispatch(
     let job = ShardMsg::Job(Job {
         session: session.clone(),
         cmd,
+        frame: frame.to_owned(),
         ctx: RequestCtx {
             id,
             command: label,
@@ -1266,15 +1273,14 @@ fn shard_worker(
                 }
                 WAL_NS.set(0);
                 let started = Instant::now();
-                let response = handle_command(shared, &mut sessions, &job.session, &job.cmd);
+                let response =
+                    handle_command(shared, &mut sessions, &job.session, job.cmd, &job.frame);
                 let wal_ns = WAL_NS.get();
                 let execute_ns = elapsed_ns(started).saturating_sub(wal_ns);
                 drop(span);
-                shared
-                    .completions
-                    .lock()
-                    .expect("completions lock")
-                    .push(Completion {
+                let was_empty = {
+                    let mut completions = shared.completions.lock().expect("completions lock");
+                    completions.push(Completion {
                         to: job.reply,
                         reply: WorkerReply {
                             response,
@@ -1283,7 +1289,15 @@ fn shard_worker(
                             wal_ns,
                         },
                     });
-                shared.wake_reactor();
+                    completions.len() == 1
+                };
+                // Only the push that makes the queue non-empty wakes the
+                // reactor: any later push lands before the reactor's next
+                // take, and that take is already owed a wake (see the
+                // drain-then-take order in `reactor::run`).
+                if was_empty {
+                    shared.wake_reactor();
+                }
                 if let Some(interval) = sweep {
                     if last_sweep.elapsed() >= interval {
                         evict_idle_sessions(shared, &mut sessions);
@@ -1535,7 +1549,12 @@ fn open_session<'m>(
                 // fresh generation resets the recovery baseline and
                 // rotates the log off any torn segment, so new appends
                 // never land after garbage.
-                if replay.ticks > 0 || replay.applied > 0 || replay.torn || quarantined > 0 {
+                if replay.ticks > 0
+                    || replay.applied > 0
+                    || replay.torn
+                    || replay.legacy
+                    || quarantined > 0
+                {
                     write_checkpoint(shared, &mut hosted)?;
                 } else {
                     hosted
@@ -1580,22 +1599,25 @@ struct WalReplay {
     applied: u64,
     /// Whether any segment ended in a torn frame (discarded).
     torn: bool,
+    /// Whether any record came from a version-1 segment, which new
+    /// appends must not extend.
+    legacy: bool,
     /// One past the highest intact sequence number seen (the opened
     /// writer continues from here).
     next_seq: u64,
 }
 
 /// Replays every uncovered write-ahead record onto the restored
-/// session, extending the hosted per-query series exactly as the live
-/// commands did.
+/// session through [`apply`], the path live commands take, so the
+/// hosted per-query series extends exactly as it did live.
 ///
-/// Coverage: `Staged`/`Register` records in segments *older* than the
-/// restored generation are captured by the checkpoint itself and are
-/// skipped. `Ticks` records are self-aligning against the session
-/// clock — a record spanning `t0 .. t0 + n` replays only the suffix
-/// past `now()`, which handles both fully-covered records and the one
-/// straddling record an auto-checkpoint can split (the snapshot lands
-/// mid-epoch, covering a prefix of the record's ticks).
+/// Coverage: staging and registration records in segments *older* than
+/// the restored generation are captured by the checkpoint itself and are
+/// skipped. Tick records are self-aligning against the session clock — a
+/// record closing `t0 .. t0 + n` replays only the suffix past `now()`,
+/// which handles both fully-covered records and the one straddling
+/// record an auto-checkpoint can split (the snapshot lands mid-epoch,
+/// covering a prefix of the record's ticks).
 fn replay_wal(dir: &Path, hosted: &mut Hosted) -> Result<WalReplay, EngineError> {
     let restored_gen = hosted.persisted_gen;
     let mut replay = WalReplay::default();
@@ -1608,45 +1630,67 @@ fn replay_wal(dir: &Path, hosted: &mut Hosted) -> Result<WalReplay, EngineError>
         }
         for record in read.records {
             replay.next_seq = replay.next_seq.max(record.seq + 1);
-            match record.op {
-                WalOp::Staged(ms) => {
-                    if gen >= restored_gen {
-                        let batch = resolve_wal_marginals(hosted.session.database(), &ms)?;
-                        hosted.session.stage_batch(batch)?;
-                        replay.applied += 1;
-                    }
+            let db = hosted.session.database();
+            let mutation = match record.op {
+                WalOp::Frame(frame) => {
+                    let (cmd, _) = crate::protocol::parse_request(&frame).map_err(|e| {
+                        EngineError::CheckpointCorrupt(format!("wal frame {}: {e}", record.seq))
+                    })?;
+                    mutation(db, cmd)?
                 }
-                WalOp::Register { name, query } => {
-                    if gen >= restored_gen && !hosted.by_name.contains_key(&name) {
-                        register_query(hosted, &name, &query)?;
-                        replay.applied += 1;
-                    }
+                WalOp::Staged(ms) => {
+                    replay.legacy = true;
+                    Mutation::Stage(resolve_indexed(db, ms)?)
                 }
                 WalOp::Ticks(ticks) => {
-                    let now = u64::from(hosted.session.now());
-                    if record.t0 + ticks.len() as u64 <= now {
+                    replay.legacy = true;
+                    Mutation::Ticks(
+                        ticks
+                            .into_iter()
+                            .map(|tick| resolve_indexed(db, tick))
+                            .collect::<Result<_, _>>()?,
+                    )
+                }
+                WalOp::Register { name, query } => {
+                    replay.legacy = true;
+                    Mutation::Register { name, query }
+                }
+            };
+            let mutation = match mutation {
+                Mutation::Register { ref name, .. }
+                    if gen < restored_gen || hosted.by_name.contains_key(name) =>
+                {
+                    continue
+                }
+                Mutation::Stage(_) if gen < restored_gen => continue,
+                Mutation::Ticks(mut ticks) => {
+                    let covered = u64::from(hosted.session.now()).saturating_sub(record.t0);
+                    let covered = usize::try_from(covered).unwrap_or(usize::MAX);
+                    if covered >= ticks.len() {
                         continue; // fully covered by the checkpoint
                     }
-                    let skip = now.saturating_sub(record.t0) as usize;
-                    let mut resolved = Vec::with_capacity(ticks.len() - skip);
-                    for tick in &ticks[skip..] {
-                        resolved.push(resolve_wal_marginals(hosted.session.database(), tick)?);
-                    }
-                    replay.ticks += resolved.len() as u64;
-                    tick_epoch_with_recovery(hosted, resolved)?;
+                    ticks.drain(..covered);
+                    replay.ticks += ticks.len() as u64;
+                    Mutation::Ticks(ticks)
                 }
-            }
+                other => {
+                    replay.applied += 1;
+                    other
+                }
+            };
+            apply(hosted, mutation)?;
         }
     }
     Ok(replay)
 }
 
-/// Resolves logged index+probability marginals back into staging pairs.
-fn resolve_wal_marginals(
+/// Resolves version-1 logged index+probability marginals back into
+/// staging pairs.
+fn resolve_indexed(
     db: &Database,
-    ms: &[WalMarginal],
-) -> Result<Vec<(lahar_model::StreamId, Marginal)>, EngineError> {
-    ms.iter()
+    ms: Vec<WalMarginal>,
+) -> Result<Vec<(StreamId, Marginal)>, EngineError> {
+    ms.into_iter()
         .map(|m| {
             let id = db.stream_id_at(m.stream).ok_or_else(|| {
                 EngineError::CheckpointCorrupt(format!(
@@ -1654,35 +1698,24 @@ fn resolve_wal_marginals(
                     m.stream
                 ))
             })?;
-            let marginal = Marginal::new(db.streams()[m.stream].domain(), m.probs.clone())?;
+            let marginal = Marginal::new(db.streams()[m.stream].domain(), m.probs)?;
             Ok((id, marginal))
         })
         .collect()
 }
 
-/// The staging pairs in the WAL's database-index + probability-vector
-/// form, ready to log.
-fn to_wal_marginals(pairs: &[(lahar_model::StreamId, Marginal)]) -> Vec<WalMarginal> {
-    pairs
-        .iter()
-        .map(|(id, m)| WalMarginal {
-            stream: id.index(),
-            probs: m.probs().to_vec(),
-        })
-        .collect()
-}
-
-/// Appends one record to the session's write-ahead log (no-op without
-/// one), honouring append-before-ack: an I/O failure returns the error
-/// response the caller must send *instead of* the ack, and breaks the
-/// log — the segment may now end in a partial frame, and appending past
-/// it would silently orphan every later record at recovery time.
-fn wal_append(hosted: &mut Hosted, t0: u64, op: WalOp) -> Result<(), Response> {
+/// Appends the request frame that caused a mutation to the session's
+/// write-ahead log (no-op without one), honouring append-before-ack: an
+/// I/O failure returns the error response the caller must send
+/// *instead of* the ack, and breaks the log — the segment may now end in
+/// a partial frame, and appending past it would silently orphan every
+/// later record at recovery time.
+fn wal_append(hosted: &mut Hosted, t0: u64, frame: &str) -> Result<(), Response> {
     let Some(w) = &mut hosted.wal else {
         return Ok(());
     };
     let started = Instant::now();
-    let result = w.append(t0, op);
+    let result = w.append(t0, frame);
     WAL_NS.with(|ns| ns.set(ns.get().saturating_add(elapsed_ns(started))));
     match result {
         Ok(_) => Ok(()),
@@ -1702,8 +1735,7 @@ fn wal_append(hosted: &mut Hosted, t0: u64, op: WalOp) -> Result<(), Response> {
 /// always starts at t = 0. The prefix is computed *before*
 /// `session.register`: if it failed afterwards, the engine would hold a
 /// query the by_name/sources/series tables don't, misaligning every
-/// later registration's index. Shared by the `register` command and
-/// write-ahead replay.
+/// later registration's index.
 fn register_query(hosted: &mut Hosted, name: &str, query: &str) -> Result<usize, EngineError> {
     let prefix = if hosted.session.now() > 0 {
         crate::Lahar::prob_series(hosted.session.database(), query)?
@@ -1719,29 +1751,16 @@ fn register_query(hosted: &mut Hosted, name: &str, query: &str) -> Result<usize,
     Ok(idx)
 }
 
-/// Ticks the session, auto-recovering from recoverable faults (worker
-/// panics, tick deadlines, injected failpoints) so one bad tick never
-/// takes the server down. Recovery completes the interrupted tick
-/// bit-identically, so the returned alerts are the real μ(q@t).
-fn tick_with_recovery(hosted: &mut Hosted) -> Result<Vec<Alert>, EngineError> {
-    let alerts = match hosted.session.tick() {
-        Ok(alerts) => alerts,
-        Err(e) if e.is_recoverable() => hosted.session.recover()?,
-        Err(e) => return Err(e),
-    };
-    hosted.record_alerts(&alerts);
-    Ok(alerts)
-}
-
 /// Closes a whole batch of ticks, one epoch at a time so that a
-/// recoverable mid-epoch fault (worker panic, deadline) only ever
-/// interrupts the epoch currently in flight: recovery re-completes it
-/// bit-identically and the loop carries on with the rest of the batch.
+/// recoverable mid-epoch fault (worker panic, deadline, injected
+/// failpoint) only ever interrupts the epoch currently in flight:
+/// recovery re-completes it bit-identically and the loop carries on with
+/// the rest of the batch, so one bad tick never takes the server down.
 /// Every closed tick's alerts are recorded, so the hosted per-query
 /// series stays exact across faults.
 fn tick_epoch_with_recovery(
     hosted: &mut Hosted,
-    ticks: Vec<Vec<(lahar_model::StreamId, Marginal)>>,
+    ticks: Vec<Vec<(StreamId, Marginal)>>,
 ) -> Result<Vec<Alert>, EngineError> {
     let _span = trace::span("tick_epoch").with("ticks", ticks.len() as u64);
     let mut all = Vec::with_capacity(ticks.len());
@@ -1774,28 +1793,117 @@ fn wire_alerts(alerts: &[Alert]) -> Vec<WireAlert> {
         .collect()
 }
 
-/// Resolves a wire marginal to a `(StreamId, Marginal)` staging pair.
-fn resolve_marginal(
-    db: &Database,
-    m: &WireMarginal,
-) -> Result<(lahar_model::StreamId, Marginal), EngineError> {
+/// Resolves a wire marginal to a `(StreamId, Marginal)` staging pair,
+/// moving its probabilities into the marginal. Names are only looked
+/// up, never interned: the interner is shared by every hosted session,
+/// so interning keys off the wire would let bogus frames grow it
+/// without bound.
+fn resolve_marginal(db: &Database, m: WireMarginal) -> Result<(StreamId, Marginal), EngineError> {
     let interner = db.interner();
-    let stream_type = interner
-        .lookup(&m.stream_type)
-        .ok_or_else(|| EngineError::Protocol(format!("unknown stream type '{}'", m.stream_type)))?;
-    let key = StreamKey {
-        stream_type,
-        key: m
-            .key
-            .iter()
-            .map(|k| Value::Str(interner.intern(k)))
-            .collect(),
+    let unknown = || {
+        EngineError::Protocol(format!(
+            "unknown stream {}({})",
+            m.stream_type,
+            m.key.join(", ")
+        ))
     };
-    let id = db.stream_id(&key).ok_or_else(|| {
-        EngineError::Protocol(format!("unknown stream {}", key.display(interner)))
-    })?;
-    let marginal = Marginal::new(db.streams()[id.index()].domain(), m.probs.clone())?;
+    let stream_type = interner.lookup(&m.stream_type).ok_or_else(unknown)?;
+    let key = m
+        .key
+        .iter()
+        .map(|k| interner.lookup(k).map(Value::Str))
+        .collect::<Option<Box<[_]>>>()
+        .ok_or_else(unknown)?;
+    let id = db
+        .stream_id(&StreamKey { stream_type, key })
+        .ok_or_else(unknown)?;
+    let marginal = Marginal::new(db.streams()[id.index()].domain(), m.probs)?;
     Ok((id, marginal))
+}
+
+fn resolve_batch(
+    db: &Database,
+    marginals: Vec<WireMarginal>,
+) -> Result<Vec<(StreamId, Marginal)>, EngineError> {
+    marginals
+        .into_iter()
+        .map(|m| resolve_marginal(db, m))
+        .collect()
+}
+
+/// A state change resolved against the session's database: what a live
+/// command and a replayed log record both come down to.
+enum Mutation {
+    /// A query registered mid-stream.
+    Register { name: String, query: String },
+    /// Marginals staged with the tick left open.
+    Stage(Vec<(StreamId, Marginal)>),
+    /// Closed ticks, oldest first: element `i` holds the marginals of
+    /// tick `t0 + i` (an empty one closes a tick over whatever was
+    /// staged, every other stream at ⊥).
+    Ticks(Vec<Vec<(StreamId, Marginal)>>),
+}
+
+/// The mutation a session command asks for. `stage` with `tick: true`
+/// and a bare `tick` are one-tick epochs, so every closed tick goes
+/// through [`tick_epoch_with_recovery`].
+fn mutation(db: &Database, cmd: Command) -> Result<Mutation, EngineError> {
+    Ok(match cmd {
+        Command::Register { name, query, .. } => Mutation::Register { name, query },
+        Command::Stage {
+            marginals, tick, ..
+        } => {
+            let batch = resolve_batch(db, marginals)?;
+            if tick {
+                Mutation::Ticks(vec![batch])
+            } else {
+                Mutation::Stage(batch)
+            }
+        }
+        Command::StageTicks { ticks, .. } => {
+            let ticks = ticks
+                .into_iter()
+                .map(|tick| resolve_batch(db, tick))
+                .collect::<Result<Vec<_>, _>>()?;
+            if ticks.is_empty() {
+                return Err(EngineError::Protocol(
+                    "'ticks' must close at least one tick".to_owned(),
+                ));
+            }
+            Mutation::Ticks(ticks)
+        }
+        Command::Tick { .. } => Mutation::Ticks(vec![Vec::new()]),
+        other => {
+            return Err(EngineError::Protocol(format!(
+                "'{}' changes no session state",
+                command_label(&other)
+            )))
+        }
+    })
+}
+
+/// What applying a [`Mutation`] produced.
+enum Applied {
+    Registered(usize),
+    Staged(usize),
+    Ticked(Vec<Alert>),
+}
+
+/// Applies one mutation to a hosted session: the one apply path, taken
+/// by live commands and by write-ahead replay alike. Logging the frame
+/// and persisting auto-checkpoints are the live caller's business.
+fn apply(hosted: &mut Hosted, mutation: Mutation) -> Result<Applied, EngineError> {
+    match mutation {
+        Mutation::Register { name, query } => {
+            register_query(hosted, &name, &query).map(Applied::Registered)
+        }
+        Mutation::Stage(batch) => {
+            let n = batch.len();
+            hosted.session.stage_batch(batch)?;
+            Ok(Applied::Staged(n))
+        }
+        Mutation::Ticks(ticks) => tick_epoch_with_recovery(hosted, ticks).map(Applied::Ticked),
+    }
 }
 
 fn engine_error(e: EngineError) -> Response {
@@ -1811,16 +1919,19 @@ fn engine_error(e: EngineError) -> Response {
     }
 }
 
+/// Executes one session command; `frame` is the request as it arrived,
+/// logged verbatim when the command mutates the session.
 fn handle_command(
     shared: &Shared,
     sessions: &mut HashMap<String, Hosted>,
     session_name: &str,
-    cmd: &Command,
+    cmd: Command,
+    frame: &str,
 ) -> Response {
     // Session ops can panic (they also run user-ish query compilation);
     // a panic must poison one command, not the shard thread.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        handle_command_inner(shared, sessions, session_name, cmd)
+        handle_command_inner(shared, sessions, session_name, cmd, frame)
     }));
     match result {
         Ok(response) => response,
@@ -1838,7 +1949,8 @@ fn handle_command_inner(
     shared: &Shared,
     sessions: &mut HashMap<String, Hosted>,
     session_name: &str,
-    cmd: &Command,
+    cmd: Command,
+    frame: &str,
 ) -> Response {
     // Only `open` creates a *new* session; every other command
     // addressed to a name never opened is rejected, so mistyped or
@@ -1907,152 +2019,68 @@ fn handle_command_inner(
             "an earlier write-ahead append failed; restart the server to recover".to_owned(),
         ));
     }
-    match cmd {
-        Command::Open { .. } => Response::Opened {
-            t: hosted.session.now(),
-            restored,
-        },
-        Command::Register { name, query, .. } => {
-            if hosted.by_name.contains_key(name) {
-                return Response::Error {
-                    code: WireCode::BadRequest,
-                    message: format!("query '{name}' is already registered"),
-                };
+    let mutation = match cmd {
+        Command::Open { .. } => {
+            return Response::Opened {
+                t: hosted.session.now(),
+                restored,
             }
-            let idx = match register_query(hosted, name, query) {
-                Ok(idx) => idx,
-                Err(e) => return engine_error(e),
-            };
-            let op = WalOp::Register {
-                name: name.clone(),
-                query: query.clone(),
-            };
-            if let Err(resp) = wal_append(hosted, u64::from(hosted.session.now()), op) {
-                return resp;
-            }
-            Response::Registered { query: idx }
         }
-        Command::Stage {
-            marginals, tick, ..
-        } => {
-            let mut staged = Vec::with_capacity(marginals.len());
-            for m in marginals {
-                match resolve_marginal(hosted.session.database(), m) {
-                    Ok(pair) => staged.push(pair),
-                    Err(e) => return engine_error(e),
-                }
+        Command::Series { query, .. } => {
+            return match hosted.by_name.get(&query) {
+                None => Response::Error {
+                    code: WireCode::UnknownQuery,
+                    message: format!("no query named '{query}' in session '{session_name}'"),
+                },
+                Some(&idx) => Response::Series {
+                    series: hosted.series[idx].clone(),
+                    query,
+                },
             }
-            let logged = if hosted.wal.is_some() {
-                to_wal_marginals(&staged)
-            } else {
-                Vec::new()
-            };
-            let n = staged.len();
-            let t0 = u64::from(hosted.session.now());
-            if let Err(e) = hosted.session.stage_batch(staged) {
+        }
+        Command::Checkpoint { .. } => {
+            return match write_checkpoint(shared, hosted) {
+                Ok(ckpt) => Response::Checkpointed { t: ckpt.t() },
+                Err(e) => engine_error(e),
+            }
+        }
+        Command::Ping | Command::Shutdown => {
+            return Response::Error {
+                code: WireCode::BadRequest,
+                message: "server-level command routed to a shard".to_owned(),
+            }
+        }
+        Command::Register { ref name, .. } if hosted.by_name.contains_key(name) => {
+            return Response::Error {
+                code: WireCode::BadRequest,
+                message: format!("query '{name}' is already registered"),
+            }
+        }
+        cmd => match mutation(hosted.session.database(), cmd) {
+            Ok(mutation) => mutation,
+            Err(e) => return engine_error(e),
+        },
+    };
+    let t0 = u64::from(hosted.session.now());
+    let applied = match apply(hosted, mutation) {
+        Ok(applied) => applied,
+        Err(e) => return engine_error(e),
+    };
+    if let Err(resp) = wal_append(hosted, t0, frame) {
+        return resp;
+    }
+    match applied {
+        Applied::Registered(idx) => Response::Registered { query: idx },
+        Applied::Staged(n) => Response::Staged { staged: n },
+        Applied::Ticked(alerts) => {
+            if let Err(e) = persist_auto_checkpoint(shared, hosted) {
                 return engine_error(e);
             }
-            if !tick {
-                if let Err(resp) = wal_append(hosted, t0, WalOp::Staged(logged)) {
-                    return resp;
-                }
-                return Response::Staged { staged: n };
-            }
-            match tick_with_recovery(hosted) {
-                Ok(alerts) => {
-                    if let Err(resp) = wal_append(hosted, t0, WalOp::Ticks(vec![logged])) {
-                        return resp;
-                    }
-                    if let Err(e) = persist_auto_checkpoint(shared, hosted) {
-                        return engine_error(e);
-                    }
-                    Response::Ticked {
-                        t: hosted.session.now(),
-                        alerts: wire_alerts(&alerts),
-                    }
-                }
-                Err(e) => engine_error(e),
+            Response::Ticked {
+                t: hosted.session.now(),
+                alerts: wire_alerts(&alerts),
             }
         }
-        Command::StageTicks { ticks, .. } => {
-            let mut resolved = Vec::with_capacity(ticks.len());
-            for tick in ticks {
-                let mut batch = Vec::with_capacity(tick.len());
-                for m in tick {
-                    match resolve_marginal(hosted.session.database(), m) {
-                        Ok(pair) => batch.push(pair),
-                        Err(e) => return engine_error(e),
-                    }
-                }
-                resolved.push(batch);
-            }
-            if resolved.is_empty() {
-                return Response::Error {
-                    code: WireCode::BadRequest,
-                    message: "'ticks' must close at least one tick".to_owned(),
-                };
-            }
-            let logged: Vec<Vec<WalMarginal>> = if hosted.wal.is_some() {
-                resolved
-                    .iter()
-                    .map(|batch| to_wal_marginals(batch))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let t0 = u64::from(hosted.session.now());
-            match tick_epoch_with_recovery(hosted, resolved) {
-                Ok(alerts) => {
-                    if let Err(resp) = wal_append(hosted, t0, WalOp::Ticks(logged)) {
-                        return resp;
-                    }
-                    if let Err(e) = persist_auto_checkpoint(shared, hosted) {
-                        return engine_error(e);
-                    }
-                    Response::Ticked {
-                        t: hosted.session.now(),
-                        alerts: wire_alerts(&alerts),
-                    }
-                }
-                Err(e) => engine_error(e),
-            }
-        }
-        Command::Tick { .. } => {
-            let t0 = u64::from(hosted.session.now());
-            match tick_with_recovery(hosted) {
-                Ok(alerts) => {
-                    if let Err(resp) = wal_append(hosted, t0, WalOp::Ticks(vec![Vec::new()])) {
-                        return resp;
-                    }
-                    if let Err(e) = persist_auto_checkpoint(shared, hosted) {
-                        return engine_error(e);
-                    }
-                    Response::Ticked {
-                        t: hosted.session.now(),
-                        alerts: wire_alerts(&alerts),
-                    }
-                }
-                Err(e) => engine_error(e),
-            }
-        }
-        Command::Series { query, .. } => match hosted.by_name.get(query) {
-            None => Response::Error {
-                code: WireCode::UnknownQuery,
-                message: format!("no query named '{query}' in session '{session_name}'"),
-            },
-            Some(&idx) => Response::Series {
-                query: query.clone(),
-                series: hosted.series[idx].clone(),
-            },
-        },
-        Command::Checkpoint { .. } => match write_checkpoint(shared, hosted) {
-            Ok(ckpt) => Response::Checkpointed { t: ckpt.t() },
-            Err(e) => engine_error(e),
-        },
-        Command::Ping | Command::Shutdown => Response::Error {
-            code: WireCode::BadRequest,
-            message: "server-level command routed to a shard".to_owned(),
-        },
     }
 }
 
@@ -2147,4 +2175,38 @@ fn render_metrics(shared: &Shared) -> String {
     .unwrap();
     out.push_str(&shared.requests.to_prometheus());
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lahar_model::StreamBuilder;
+
+    #[test]
+    fn bogus_wire_keys_do_not_grow_the_interner() {
+        let mut db = Database::new();
+        db.declare_stream("At", &["person"], &["loc"]).unwrap();
+        let b = StreamBuilder::new(db.interner(), "At", &["joe"], &["a", "h"]);
+        db.add_stream(b.independent(vec![]).unwrap()).unwrap();
+        let before = db.interner().len();
+        for i in 0..100_000 {
+            let m = WireMarginal {
+                stream_type: "At".to_owned(),
+                key: vec![format!("bogus-{i}")],
+                probs: vec![0.5, 0.25, 0.25],
+            };
+            let err = resolve_marginal(&db, m).unwrap_err();
+            assert!(matches!(err, EngineError::Protocol(_)), "{err}");
+        }
+        assert_eq!(db.interner().len(), before);
+        // A known stream still resolves, its probabilities moved in.
+        let m = WireMarginal {
+            stream_type: "At".to_owned(),
+            key: vec!["joe".to_owned()],
+            probs: vec![0.5, 0.25, 0.25],
+        };
+        let (id, marginal) = resolve_marginal(&db, m).unwrap();
+        assert_eq!(id.index(), 0);
+        assert_eq!(marginal.probs(), &[0.5, 0.25, 0.25]);
+    }
 }

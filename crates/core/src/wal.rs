@@ -21,19 +21,32 @@
 //! persisted, and segments older than the oldest retained checkpoint
 //! generation are garbage-collected.
 //!
-//! Each record is one line, length- and checksum-framed around an NDJSON
-//! payload so a torn tail (partial write at the crash point) is detected
-//! and discarded rather than misparsed:
+//! A segment opens with one header line naming its format version,
+//! then holds one line per record, length- and checksum-framed around
+//! the payload so a torn tail (partial write at the crash point) is
+//! detected and discarded rather than misparsed:
 //!
 //! ```text
-//! <len:08x> <crc32:08x> <payload JSON>\n
+//! lahar-wal 2\n
+//! <len:08x> <crc32:08x> <seq> <t0> <frame>\n
 //! ```
 //!
-//! `len` is the byte length of the payload; `crc32` is the IEEE CRC-32
-//! of the payload bytes. Readers stop at the first frame whose length,
-//! checksum, or trailing newline does not check out ([`SegmentRead::torn`]).
-//! Payload strings are JSON-escaped, so a payload never contains a raw
-//! newline and the frame boundary is unambiguous.
+//! `len` is the byte length of the payload (everything between the
+//! second space and the newline); `crc32` is the IEEE CRC-32 of those
+//! bytes. `seq` and `t0` are decimal. `frame` is the mutating request
+//! exactly as it arrived on the wire — one NDJSON line of
+//! `crate::protocol`, which never holds a raw newline — so logging
+//! converts no number to text and replay decodes it with the same
+//! [`crate::protocol::parse_request`] the live server uses. Readers stop
+//! at the first frame whose length, checksum, or trailing newline does
+//! not check out ([`SegmentRead::torn`]).
+//!
+//! Segments without a header are version 1, the format earlier builds
+//! wrote. Their payloads are JSON records that address streams by database index
+//! (`{"seq":…,"t0":…,"ticks":[[{"s":0,"p":[…]}]]}`, or `"staged"` /
+//! `"register"` in place of `"ticks"`). They are still read, into
+//! [`WalOp::Staged`], [`WalOp::Ticks`] and [`WalOp::Register`], but
+//! never written; recovery rotates off them at once.
 //!
 //! # Fsync policy
 //!
@@ -94,9 +107,15 @@ impl Durability {
     }
 }
 
-/// One staged marginal as logged: the stream's index in database order
-/// (stable across restore) plus the full probability vector in domain
-/// order, ⊥ last — the same layout as `Marginal::probs()`.
+/// The segment format this build writes (see the module docs).
+pub const SEGMENT_VERSION: u32 = 2;
+
+/// What a version-2 segment starts with; the version follows.
+const HEADER_PREFIX: &str = "lahar-wal ";
+
+/// One staged marginal in a version-1 record: the stream's index in
+/// database order plus the full probability vector in domain order, ⊥
+/// last — the same layout as `Marginal::probs()`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalMarginal {
     /// Stream index in database declaration order.
@@ -108,14 +127,16 @@ pub struct WalMarginal {
 /// The state mutation a record captures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
-    /// `stage` with `tick: false`: marginals staged, tick left open.
+    /// A mutating request frame, verbatim (version-2 segments).
+    Frame(String),
+    /// Version 1: `stage` with `tick: false`, the tick left open.
     Staged(Vec<WalMarginal>),
-    /// One or more closed ticks (`stage` with `tick: true`, bare
-    /// `tick`, or a whole `stage_ticks` epoch): `ticks[i]` holds the
-    /// marginals staged for tick `t0 + i`; an empty list is an all-⊥
-    /// tick.
+    /// Version 1: one or more closed ticks (`stage` with `tick: true`,
+    /// bare `tick`, or a whole `stage_ticks` epoch): `ticks[i]` holds
+    /// the marginals staged for tick `t0 + i`; an empty list is an
+    /// all-⊥ tick.
     Ticks(Vec<Vec<WalMarginal>>),
-    /// A query registered mid-stream (replay re-registers + backfills).
+    /// Version 1: a query registered mid-stream.
     Register {
         /// Registered query name.
         name: String,
@@ -129,48 +150,29 @@ pub enum WalOp {
 pub struct WalRecord {
     /// Monotonic per-session sequence number (diagnostic ordering).
     pub seq: u64,
-    /// The session clock when the mutation was applied. For
-    /// [`WalOp::Ticks`] the record covers session times
-    /// `t0 .. t0 + ticks.len()`.
+    /// The session clock when the mutation was applied; a record that
+    /// closes `n` ticks covers session times `t0 .. t0 + n`.
     pub t0: u64,
     /// The logged mutation.
     pub op: WalOp,
 }
 
 impl WalRecord {
-    /// Encodes the payload JSON (no framing).
-    fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str(&format!("{{\"seq\":{},\"t0\":{},", self.seq, self.t0));
-        match &self.op {
-            WalOp::Staged(marginals) => {
-                out.push_str("\"staged\":");
-                push_marginals(&mut out, marginals);
-            }
-            WalOp::Ticks(ticks) => {
-                out.push_str("\"ticks\":[");
-                for (i, tick) in ticks.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_marginals(&mut out, tick);
-                }
-                out.push(']');
-            }
-            WalOp::Register { name, query } => {
-                out.push_str("\"register\":{\"name\":");
-                json::push_string(&mut out, name);
-                out.push_str(",\"query\":");
-                json::push_string(&mut out, query);
-                out.push('}');
-            }
-        }
-        out.push('}');
-        out
+    /// Parses a version-2 payload: `<seq> <t0> <frame>`.
+    fn from_v2(payload: &str) -> Option<Self> {
+        let mut parts = payload.splitn(3, ' ');
+        let seq = parts.next()?.parse().ok()?;
+        let t0 = parts.next()?.parse().ok()?;
+        let frame = parts.next()?;
+        Some(Self {
+            seq,
+            t0,
+            op: WalOp::Frame(frame.to_owned()),
+        })
     }
 
-    /// Parses a payload produced by [`WalRecord::to_json`].
-    fn from_json(payload: &str) -> Result<Self, EngineError> {
+    /// Parses a version-1 payload (read-only; nothing writes it now).
+    fn from_v1(payload: &str) -> Result<Self, EngineError> {
         let doc = json::parse(payload).map_err(|e| corrupt(&format!("wal record: {e}")))?;
         let seq = get_u64(&doc, "seq")?;
         let t0 = get_u64(&doc, "t0")?;
@@ -195,24 +197,6 @@ impl WalRecord {
         };
         Ok(Self { seq, t0, op })
     }
-}
-
-fn push_marginals(out: &mut String, marginals: &[WalMarginal]) {
-    out.push('[');
-    for (i, m) in marginals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"s\":{},\"p\":[", m.stream));
-        for (j, &p) in m.probs.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            json::push_f64(out, p);
-        }
-        out.push_str("]}");
-    }
-    out.push(']');
 }
 
 fn parse_marginals(v: &JsonValue) -> Result<Vec<WalMarginal>, EngineError> {
@@ -256,11 +240,14 @@ fn get_str(v: &JsonValue, key: &str) -> Result<String, EngineError> {
 }
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven. Shared with the checkpoint
+// CRC-32 (IEEE 802.3), slicing-by-8. Shared with the checkpoint
 // envelope — the workspace deliberately carries no external crates.
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC32_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, so eight table lookups advance the CRC by eight bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -273,30 +260,45 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// IEEE CRC-32 of `bytes` (the same polynomial as zip/PNG).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
-}
-
-/// Frames one payload line: `<len:08x> <crc:08x> <payload>\n`.
-fn frame(payload: &str) -> String {
-    format!(
-        "{:08x} {:08x} {payload}\n",
-        payload.len(),
-        crc32(payload.as_bytes())
-    )
 }
 
 // ---------------------------------------------------------------------
@@ -353,11 +355,33 @@ pub struct SegmentRead {
     pub torn: bool,
 }
 
-/// Reads and verifies a segment, stopping at the first torn frame.
+/// Reads and verifies a segment, stopping at the first torn frame. A
+/// segment whose header names a version this build does not know is an
+/// `InvalidData` error rather than a guess.
 pub fn read_segment(path: &Path) -> std::io::Result<SegmentRead> {
     let bytes = std::fs::read(path)?;
     let mut out = SegmentRead::default();
-    let mut at = 0usize;
+    let (version, mut at) = if bytes.starts_with(HEADER_PREFIX.as_bytes()) {
+        let Some(nl) = bytes.iter().position(|&b| b == b'\n') else {
+            out.torn = true; // died while writing the header
+            return Ok(out);
+        };
+        let version = std::str::from_utf8(&bytes[HEADER_PREFIX.len()..nl])
+            .ok()
+            .and_then(|v| v.parse::<u32>().ok());
+        if version != Some(SEGMENT_VERSION) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("{path:?} is not a version-{SEGMENT_VERSION} wal segment"),
+            ));
+        }
+        (SEGMENT_VERSION, nl + 1)
+    } else if !bytes.is_empty() && HEADER_PREFIX.as_bytes().starts_with(&bytes) {
+        out.torn = true; // died while writing the header
+        return Ok(out);
+    } else {
+        (1, 0) // no header: a version-1 segment
+    };
     while at < bytes.len() {
         // Header: 8 hex chars, ' ', 8 hex chars, ' '.
         let Some(header) = bytes.get(at..at + 18) else {
@@ -389,17 +413,18 @@ pub fn read_segment(path: &Path) -> std::io::Result<SegmentRead> {
             out.torn = true;
             break;
         }
-        let Ok(payload) = std::str::from_utf8(payload) else {
+        let record = std::str::from_utf8(payload).ok().and_then(|payload| {
+            if version == SEGMENT_VERSION {
+                WalRecord::from_v2(payload)
+            } else {
+                WalRecord::from_v1(payload).ok()
+            }
+        });
+        let Some(record) = record else {
             out.torn = true;
             break;
         };
-        match WalRecord::from_json(payload) {
-            Ok(record) => out.records.push(record),
-            Err(_) => {
-                out.torn = true;
-                break;
-            }
-        }
+        out.records.push(record);
         at = end + 1;
     }
     Ok(out)
@@ -432,10 +457,7 @@ impl WalWriter {
         durability: Durability,
     ) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(segment_path(dir, stem, gen))?;
+        let file = open_segment(&segment_path(dir, stem, gen))?;
         Ok(Self {
             dir: dir.to_path_buf(),
             stem: stem.to_owned(),
@@ -458,23 +480,30 @@ impl WalWriter {
         self.gen
     }
 
-    /// Appends one operation as a framed record, honouring the fsync
-    /// policy, and returns the record's sequence number. The ack for
-    /// the mutation must not be sent until this returns.
-    pub fn append(&mut self, t0: u64, op: WalOp) -> std::io::Result<u64> {
+    /// Appends one mutating request frame, verbatim, as a framed
+    /// record, honouring the fsync policy, and returns the record's
+    /// sequence number. The ack for the mutation must not be sent until
+    /// this returns.
+    pub fn append(&mut self, t0: u64, frame: &str) -> std::io::Result<u64> {
         let _span = crate::trace::span("wal_append").with("t0", t0);
         let seq = self.next_seq;
-        let record = WalRecord { seq, t0, op };
-        let line = frame(&record.to_json());
+        let mut line = Vec::with_capacity(frame.len() + 64);
+        line.extend_from_slice(&[b' '; 18]);
+        write!(line, "{seq} {t0} ")?;
+        line.extend_from_slice(frame.as_bytes());
+        let payload = &line[18..];
+        let header = format!("{:08x} {:08x} ", payload.len(), crc32(payload));
+        line[..18].copy_from_slice(header.as_bytes());
+        line.push(b'\n');
         // Torn-write fault injection: write a partial frame, then die
         // exactly as a power cut mid-append would — the recovery path
         // must discard the torn tail and keep everything before it.
         if crate::failpoint::check("wal_append").is_err() {
-            let _ = self.file.write_all(&line.as_bytes()[..line.len() / 2]);
+            let _ = self.file.write_all(&line[..line.len() / 2]);
             let _ = self.file.sync_data();
             std::process::abort();
         }
-        self.file.write_all(line.as_bytes())?;
+        self.file.write_all(&line)?;
         if self.durability == Durability::Always {
             self.sync()?;
         }
@@ -503,14 +532,20 @@ impl WalWriter {
     /// post-checkpoint-`N`.
     pub fn rotate(&mut self, new_gen: u64) -> std::io::Result<()> {
         self.sync()?;
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(segment_path(&self.dir, &self.stem, new_gen))?;
-        self.file = file;
+        self.file = open_segment(&segment_path(&self.dir, &self.stem, new_gen))?;
         self.gen = new_gen;
         Ok(())
     }
+}
+
+/// Opens a segment for appending, writing the format header first when
+/// the file is new.
+fn open_segment(path: &Path) -> std::io::Result<File> {
+    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
+    if file.metadata()?.len() == 0 {
+        file.write_all(format!("{HEADER_PREFIX}{SEGMENT_VERSION}\n").as_bytes())?;
+    }
+    Ok(file)
 }
 
 #[cfg(test)]
@@ -524,66 +559,86 @@ mod tests {
         dir
     }
 
-    fn sample_ops() -> Vec<(u64, WalOp)> {
+    /// Request frames as the reactor hands them over: one line each,
+    /// with escapes and non-ASCII text passed through untouched.
+    fn sample_frames() -> Vec<(u64, &'static str)> {
         vec![
             (
                 0,
-                WalOp::Register {
-                    name: "q \"quoted\"\n".to_owned(),
-                    query: "At(p,'a') ; At(p,'c')".to_owned(),
-                },
+                r#"{"v":1,"cmd":"register","session":"s","name":"q \"quoted\"\n","query":"At(p,'a') ; At(p,'c')"}"#,
             ),
             (
                 0,
-                WalOp::Staged(vec![WalMarginal {
-                    stream: 3,
-                    probs: vec![0.1 + 0.2, 5e-324, 0.0],
-                }]),
+                r#"{"v":1,"cmd":"stage","session":"s","marginals":[{"type":"At","key":["jöe"],"probs":[0.30000000000000004,5e-324,0.0]}],"tick":false}"#,
             ),
             (
                 0,
-                WalOp::Ticks(vec![
-                    vec![WalMarginal {
-                        stream: 0,
-                        probs: vec![1.0 / 3.0, 0.5],
-                    }],
-                    vec![],
-                ]),
+                r#"{"cmd":"stage_ticks", "session":"s","ticks":[[{"type":"At","key":["joe"],"probs":[0.3333333333333333,0.5]}],[]]}"#,
             ),
         ]
+    }
+
+    /// Byte-at-a-time CRC-32: the reference the sliced one must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
     }
 
     #[test]
     fn crc32_known_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }
 
     #[test]
-    fn append_read_round_trip_is_exact() {
+    fn sliced_crc32_matches_the_bytewise_reference() {
+        let mut state = 0x5EED_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let data: Vec<u8> = (0..4096 + 16).map(|_| next() as u8).collect();
+        for len in 0..=4096 {
+            // Every length, each from an unaligned start as well.
+            let offset = (next() % 16) as usize;
+            for bytes in [&data[..len], &data[offset..offset + len]] {
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "len {len} at {offset}");
+            }
+        }
+    }
+
+    #[test]
+    fn append_read_round_trip_is_verbatim() {
         let dir = temp_dir("roundtrip");
         let mut w = WalWriter::open(&dir, "s", 0, 7, Durability::Batch).unwrap();
-        for (t0, op) in sample_ops() {
-            w.append(t0, op).unwrap();
+        for (t0, frame) in sample_frames() {
+            w.append(t0, frame).unwrap();
         }
-        let read = read_segment(&segment_path(&dir, "s", 0)).unwrap();
+        let path = segment_path(&dir, "s", 0);
+        assert!(std::fs::read(&path).unwrap().starts_with(b"lahar-wal 2\n"));
+        let read = read_segment(&path).unwrap();
         assert!(!read.torn);
         assert_eq!(read.records.len(), 3);
-        assert_eq!(read.records[0].seq, 7);
-        assert_eq!(read.records[2].seq, 9);
-        let expect: Vec<WalOp> = sample_ops().into_iter().map(|(_, op)| op).collect();
-        for (record, op) in read.records.iter().zip(&expect) {
-            assert_eq!(&record.op, op);
+        for (i, (record, (t0, frame))) in read.records.iter().zip(sample_frames()).enumerate() {
+            assert_eq!(record.seq, 7 + i as u64);
+            assert_eq!(record.t0, t0);
+            assert_eq!(record.op, WalOp::Frame(frame.to_owned()));
         }
-        // Bit-exact floats through the frame.
-        match (&read.records[1].op, &expect[1]) {
-            (WalOp::Staged(a), WalOp::Staged(b)) => {
-                for (x, y) in a[0].probs.iter().zip(&b[0].probs) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-            _ => unreachable!(),
-        }
+        // Reopening an existing segment appends without a second header.
+        drop(w);
+        let mut w = WalWriter::open(&dir, "s", 0, 10, Durability::Always).unwrap();
+        w.append(2, r#"{"cmd":"tick","session":"s"}"#).unwrap();
+        let read = read_segment(&path).unwrap();
+        assert!(!read.torn);
+        assert_eq!(read.records.len(), 4);
+        assert_eq!(read.records[3].seq, 10);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -591,14 +646,15 @@ mod tests {
     fn torn_tail_is_detected_and_prefix_survives() {
         let dir = temp_dir("torn");
         let mut w = WalWriter::open(&dir, "s", 2, 0, Durability::Batch).unwrap();
-        for (t0, op) in sample_ops() {
-            w.append(t0, op).unwrap();
+        for (t0, frame) in sample_frames() {
+            w.append(t0, frame).unwrap();
         }
         drop(w);
         let path = segment_path(&dir, "s", 2);
         let full = std::fs::read(&path).unwrap();
         // Truncate at every byte boundary inside the final frame: the
         // first two records must always survive, torn must be flagged.
+        // The header line holds the first newline.
         let second_end = {
             let mut seen = 0;
             full.iter()
@@ -606,7 +662,7 @@ mod tests {
                     if b == b'\n' {
                         seen += 1;
                     }
-                    seen == 2
+                    seen == 3
                 })
                 .unwrap()
                 + 1
@@ -628,16 +684,74 @@ mod tests {
         let read = read_segment(&path).unwrap();
         assert!(read.torn);
         assert_eq!(read.records.len(), 2);
+        // A header cut short is torn with nothing in it; a header from a
+        // newer format is an error, not a guess.
+        for cut in 1..HEADER_PREFIX.len() + 2 {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let read = read_segment(&path).unwrap();
+            assert!(read.torn && read.records.is_empty(), "header cut at {cut}");
+        }
+        std::fs::write(&path, b"lahar-wal 3\n").unwrap();
+        let err = read_segment(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_one_segments_still_read() {
+        let dir = temp_dir("v1");
+        let path = segment_path(&dir, "s", 0);
+        // Written by a version-1 `WalWriter`: no header, JSON records
+        // addressing streams by database index.
+        std::fs::write(
+            &path,
+            concat!(
+                "00000048 3640bd73 {\"seq\":0,\"t0\":0,\"register\":{\"name\":\"q\",\"query\":\"At(p,'a') ; At(p,'c')\"}}\n",
+                "0000003b 2052bf64 {\"seq\":2,\"t0\":2,\"staged\":[{\"s\":0,\"p\":[0.2,0.0,0.55,0.25]}]}\n",
+                "0000001d 81280afc {\"seq\":4,\"t0\":3,\"ticks\":[[]]}\n",
+            ),
+        )
+        .unwrap();
+        let read = read_segment(&path).unwrap();
+        assert!(!read.torn);
+        let ops: Vec<(u64, u64, WalOp)> = read
+            .records
+            .into_iter()
+            .map(|r| (r.seq, r.t0, r.op))
+            .collect();
+        assert_eq!(
+            ops,
+            vec![
+                (
+                    0,
+                    0,
+                    WalOp::Register {
+                        name: "q".to_owned(),
+                        query: "At(p,'a') ; At(p,'c')".to_owned()
+                    }
+                ),
+                (
+                    2,
+                    2,
+                    WalOp::Staged(vec![WalMarginal {
+                        stream: 0,
+                        probs: vec![0.2, 0.0, 0.55, 0.25]
+                    }])
+                ),
+                (4, 3, WalOp::Ticks(vec![vec![]])),
+            ]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn rotation_and_gc_manage_segments() {
         let dir = temp_dir("rotate");
+        let tick = r#"{"cmd":"tick","session":"s"}"#;
         let mut w = WalWriter::open(&dir, "s", 0, 0, Durability::Batch).unwrap();
-        w.append(0, WalOp::Ticks(vec![vec![]])).unwrap();
+        w.append(0, tick).unwrap();
         w.rotate(1).unwrap();
-        w.append(1, WalOp::Ticks(vec![vec![]])).unwrap();
+        w.append(1, tick).unwrap();
         w.rotate(2).unwrap();
         assert_eq!(w.gen(), 2);
         let gens: Vec<u64> = list_segments(&dir, "s")
@@ -651,9 +765,12 @@ mod tests {
             .map(|(g, _)| g)
             .collect();
         assert_eq!(gens, vec![1, 2]);
-        // Sequence numbers survive rotation.
+        // Sequence numbers survive rotation; an empty rotated-to
+        // segment is just its header.
         let read = read_segment(&segment_path(&dir, "s", 1)).unwrap();
         assert_eq!(read.records[0].seq, 1);
+        let read = read_segment(&segment_path(&dir, "s", 2)).unwrap();
+        assert!(!read.torn && read.records.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -3,9 +3,10 @@
 //! decode losslessly, with probabilities bit-identical, and the decoder
 //! must reject malformed frames instead of guessing.
 
+use lahar_core::json;
 use lahar_core::protocol::{
-    encode_command, encode_response, parse_command, parse_response, Command, Response, WireAlert,
-    WireCode, WireMarginal, PROTOCOL_VERSION,
+    encode_command, encode_response, parse_command, parse_request, parse_response, Command,
+    Response, WireAlert, WireCode, WireMarginal, PROTOCOL_VERSION,
 };
 use lahar_core::EngineError;
 use proptest::prelude::*;
@@ -123,6 +124,206 @@ fn response() -> impl Strategy<Value = Response> {
     ]
 }
 
+// -- hand-written frames ----------------------------------------------
+
+/// Deterministic choices for one hand-written frame (splitmix64).
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// JSON whitespace of random length (no newline: it ends a frame).
+    fn ws(&mut self) -> &'static str {
+        ["", "", " ", "\t", "  ", " \t\r "][self.below(6)]
+    }
+
+    fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.below(i + 1));
+        }
+    }
+}
+
+fn json_str(s: &str) -> String {
+    let mut out = String::new();
+    json::push_string(&mut out, s);
+    out
+}
+
+/// Any JSON value, nested arrays and objects included.
+fn junk(rng: &mut Rng, depth: usize) -> String {
+    match rng.below(if depth == 0 { 4 } else { 6 }) {
+        0 => json_str(["", "x", "\"q\" \\ ⊥"][rng.below(3)]),
+        1 => ["0", "-1.5e-3", "12345678901234567890", "2E+2"][rng.below(4)].to_owned(),
+        2 => ["true", "false"][rng.below(2)].to_owned(),
+        3 => "null".to_owned(),
+        4 => {
+            let items: Vec<String> = (0..rng.below(4)).map(|_| junk(rng, depth - 1)).collect();
+            format!("[{}{}]", items.join(&format!(",{}", rng.ws())), rng.ws())
+        }
+        _ => {
+            let members = (0..rng.below(4))
+                .map(|i| (format!("k{i}"), junk(rng, depth - 1)))
+                .collect();
+            object(rng, members)
+        }
+    }
+}
+
+/// Writes `members` as an object in a random order, with unknown
+/// members mixed in and random whitespace between tokens.
+fn object(rng: &mut Rng, mut members: Vec<(String, String)>) -> String {
+    for i in 0..rng.below(3) {
+        let value = junk(rng, 3);
+        members.push((format!("unknown_{i}"), value));
+    }
+    rng.shuffle(&mut members);
+    let body: Vec<String> = members
+        .iter()
+        .map(|(k, v)| {
+            format!(
+                "{}{}{}:{}{}{}",
+                rng.ws(),
+                json_str(k),
+                rng.ws(),
+                rng.ws(),
+                v,
+                rng.ws()
+            )
+        })
+        .collect();
+    format!("{{{}}}", body.join(","))
+}
+
+/// Writes a probability in one of several spellings; the decoded value
+/// must be what `json::parse` makes of the same text.
+fn number(rng: &mut Rng, p: f64) -> (String, f64) {
+    let text = match rng.below(4) {
+        0 => format!("{p:?}"),
+        1 => format!("{p:e}"),
+        2 => format!("{p:.20}"),
+        _ => format!("{p:E}"),
+    };
+    let parsed = json::parse(&text).unwrap().as_f64().unwrap();
+    (text, parsed)
+}
+
+/// Writes a marginal; returns the text and the marginal the text means.
+fn marginal(rng: &mut Rng, m: &WireMarginal) -> (String, WireMarginal) {
+    let (texts, probs): (Vec<String>, Vec<f64>) = m.probs.iter().map(|&p| number(rng, p)).unzip();
+    let keys: Vec<String> = m.key.iter().map(|k| json_str(k)).collect();
+    let sep = format!("{},", rng.ws());
+    let members = vec![
+        ("type".to_owned(), json_str(&m.stream_type)),
+        ("key".to_owned(), format!("[{}]", keys.join(","))),
+        ("probs".to_owned(), format!("[{}]", texts.join(&sep))),
+    ];
+    let text = object(rng, members);
+    let meant = WireMarginal { probs, ..m.clone() };
+    (text, meant)
+}
+
+fn marginal_list(rng: &mut Rng, ms: &[WireMarginal]) -> (String, Vec<WireMarginal>) {
+    let (texts, meant): (Vec<String>, Vec<WireMarginal>) =
+        ms.iter().map(|m| marginal(rng, m)).unzip();
+    (format!("[{}{}]", rng.ws(), texts.join(",")), meant)
+}
+
+/// Writes `cmd` by hand: shuffled members, random whitespace, unknown
+/// members, and one key written twice (the first time with a junk
+/// value). Returns the frame and the command it means.
+fn hand_written(cmd: &Command, id: Option<u64>, seed: u64) -> (String, Command) {
+    let rng = &mut Rng(seed);
+    let s = |v: &str| json_str(v);
+    let mut members = vec![("v".to_owned(), "1".to_owned())];
+    if let Some(id) = id {
+        members.push(("id".to_owned(), id.to_string()));
+    }
+    let mut meant = cmd.clone();
+    let mut add = |k: &str, v: String| members.push((k.to_owned(), v));
+    match (cmd, &mut meant) {
+        (Command::Ping, _) => add("cmd", s("ping")),
+        (Command::Shutdown, _) => add("cmd", s("shutdown")),
+        (Command::Open { session }, _) => {
+            add("cmd", s("open"));
+            add("session", s(session));
+        }
+        (
+            Command::Register {
+                session,
+                name,
+                query,
+            },
+            _,
+        ) => {
+            add("cmd", s("register"));
+            add("session", s(session));
+            add("name", s(name));
+            add("query", s(query));
+        }
+        (
+            Command::Stage {
+                session,
+                marginals,
+                tick,
+            },
+            Command::Stage {
+                marginals: meant, ..
+            },
+        ) => {
+            add("cmd", s("stage"));
+            add("session", s(session));
+            let (text, m) = marginal_list(rng, marginals);
+            *meant = m;
+            add("marginals", text);
+            add("tick", tick.to_string());
+        }
+        (Command::StageTicks { session, ticks }, Command::StageTicks { ticks: meant, .. }) => {
+            add("cmd", s("stage_ticks"));
+            add("session", s(session));
+            let mut texts = Vec::new();
+            for (tick, meant) in ticks.iter().zip(meant.iter_mut()) {
+                let (text, m) = marginal_list(rng, tick);
+                *meant = m;
+                texts.push(text);
+            }
+            add("ticks", format!("[{}]", texts.join(",")));
+        }
+        (Command::Tick { session }, _) => {
+            add("cmd", s("tick"));
+            add("session", s(session));
+        }
+        (Command::Series { session, query }, _) => {
+            add("cmd", s("series"));
+            add("session", s(session));
+            add("query", s(query));
+        }
+        (Command::Checkpoint { session }, _) => {
+            add("cmd", s("checkpoint"));
+            add("session", s(session));
+        }
+        _ => unreachable!("command and its copy have the same shape"),
+    }
+    // Duplicate one member: a junk value first, the real one last.
+    let dup = rng.below(members.len());
+    let first = (members[dup].0.clone(), junk(rng, 2));
+    let text = object(rng, members);
+    let key = json_str(&first.0);
+    let at = text.find(&key).expect("every member is written");
+    let frame = format!("{}{}:{},{}", &text[..at], key, first.1, &text[at..]);
+    (format!("{}{frame}{}", rng.ws(), rng.ws()), meant)
+}
+
 // -- transport re-chunking --------------------------------------------
 
 /// A reader that hands out the underlying bytes in caller-chosen chunk
@@ -158,6 +359,38 @@ proptest! {
         let line = encode_command(&cmd);
         prop_assert!(!line.contains('\n'), "frame not single-line: {line}");
         prop_assert_eq!(parse_command(&line).unwrap(), cmd);
+    }
+
+    /// A frame written by hand — members in any order, arbitrary
+    /// whitespace, unknown members (nested arrays and objects
+    /// included), one key given twice — decodes to the command it
+    /// means, and every probability to the bits `json::parse` reads
+    /// from the same number text.
+    #[test]
+    fn hand_written_frames_decode_like_the_tree(
+        cmd in command(),
+        id in prop::option::of(0..1u64 << 53),
+        seed in 0..u64::MAX,
+    ) {
+        let (frame, meant) = hand_written(&cmd, id, seed);
+        let (got, got_id) = parse_request(&frame)
+            .unwrap_or_else(|e| panic!("{e} in {frame}"));
+        prop_assert_eq!(got_id, id);
+        let probs = |c: &Command| -> Vec<u64> {
+            match c {
+                Command::Stage { marginals, .. } => {
+                    marginals.iter().flat_map(|m| m.probs.iter().map(|p| p.to_bits())).collect()
+                }
+                Command::StageTicks { ticks, .. } => ticks
+                    .iter()
+                    .flatten()
+                    .flat_map(|m| m.probs.iter().map(|p| p.to_bits()))
+                    .collect(),
+                _ => Vec::new(),
+            }
+        };
+        prop_assert_eq!(probs(&got), probs(&meant), "{}", frame);
+        prop_assert_eq!(got, meant, "{}", frame);
     }
 
     /// encode → decode is the identity for responses, including f64
@@ -246,5 +479,17 @@ fn garbage_frames_are_protocol_errors() {
             matches!(parse_response(bad), Err(EngineError::Protocol(_))),
             "response parser accepted: {bad}"
         );
+    }
+}
+
+/// Skipped values obey the same nesting cap as decoded ones: an unknown
+/// member nested ten thousand levels deep is a `protocol` error, not a
+/// stack overflow.
+#[test]
+fn deeply_nested_unknown_member_is_a_protocol_error() {
+    let frame = format!("{{\"cmd\":\"ping\",\"x\":{}", "[".repeat(10_000));
+    match parse_command(&frame) {
+        Err(EngineError::Protocol(message)) => assert!(message.contains("nesting"), "{message}"),
+        other => panic!("deep frame decoded as {other:?}"),
     }
 }

@@ -144,6 +144,16 @@ struct Serve {
 /// in the child via `LAHAR_FAILPOINTS` (builds without the feature
 /// ignore the variable).
 fn spawn_serve(ckpt: &Path, durability: &str, failpoints: Option<&str>) -> Serve {
+    spawn_serve_every(ckpt, durability, failpoints, INTERVAL)
+}
+
+/// [`spawn_serve`] with an auto-checkpoint every `interval` ticks.
+fn spawn_serve_every(
+    ckpt: &Path,
+    durability: &str,
+    failpoints: Option<&str>,
+    interval: &str,
+) -> Serve {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_lahar"));
     cmd.args([
         "serve",
@@ -156,7 +166,7 @@ fn spawn_serve(ckpt: &Path, durability: &str, failpoints: Option<&str>) -> Serve
         "--durability",
         durability,
         "--checkpoint-interval",
-        INTERVAL,
+        interval,
         "--shards",
         "2",
     ])
@@ -355,6 +365,81 @@ fn torn_newest_generation_falls_back_and_replays_to_the_full_clock() {
         t, RAN,
         "fallback + WAL replay must reach the exact pre-shutdown clock"
     );
+    let _ = std::fs::remove_dir_all(&ckpt);
+}
+
+/// The write-ahead log replays every kind of logged frame onto the
+/// checkpoint it extends: `stage_ticks` batches of 3 that straddle the
+/// every-4-ticks auto-checkpoints (each snapshot lands mid-epoch, so
+/// replay must take only the uncovered suffix of that record), a query
+/// registered mid-stream, and bare `tick`s. After a SIGKILL with no
+/// clean shutdown, both series are bit-identical to the offline engine.
+#[test]
+fn kill_nine_replays_straddling_epochs_registration_and_bare_ticks() {
+    const LATE_SRC: &str = "At(p,'h') ; At(p,'a')";
+    enum Step {
+        Epoch,
+        Tick,
+        Register,
+    }
+    use Step::{Epoch, Register, Tick};
+    let script = [
+        Epoch, Epoch, Register, Tick, Epoch, Tick, Epoch, Epoch, Tick, Epoch,
+    ];
+    let frames = wire_frames(&recorded_db());
+    let ckpt = temp_dir("straddle");
+    let mut serve = spawn_serve_every(&ckpt, "batch", None, "4");
+    let mut client = LaharClient::connect(serve.addr, "crash").unwrap();
+    client.open().unwrap();
+    client.register("q", SRC).unwrap();
+    let mut bare = Vec::new();
+    let mut t = 0usize;
+    for step in &script {
+        match step {
+            Epoch => {
+                client.stage_epoch(&frames[t..t + 3]).unwrap();
+                t += 3;
+            }
+            Tick => {
+                client.tick().unwrap();
+                bare.push(t);
+                t += 1;
+            }
+            Register => {
+                client.register("late", LATE_SRC).unwrap();
+            }
+        }
+    }
+    sigkill(serve.child.id());
+    let _ = serve.child.wait();
+
+    // Offline reference: the recorded marginals, all-⊥ at bare ticks.
+    let (mut db, builders) = schema_parts();
+    for (s, b) in builders.iter().enumerate() {
+        let ms = (0..t as u32)
+            .map(|tick| {
+                if bare.contains(&(tick as usize)) {
+                    b.point(None)
+                } else {
+                    marginal_at(b, tick, s)
+                }
+            })
+            .collect::<Vec<_>>();
+        db.add_stream(b.clone().independent(ms).unwrap()).unwrap();
+    }
+
+    let mut serve = spawn_serve_every(&ckpt, "batch", None, "4");
+    let mut client = LaharClient::connect(serve.addr, "crash").unwrap();
+    assert_eq!(client.open().unwrap(), (t as u32, true));
+    for (name, src) in [("q", SRC), ("late", LATE_SRC)] {
+        assert_eq!(
+            bits(&client.series(name).unwrap()),
+            bits(&Lahar::prob_series(&db, src).unwrap()),
+            "recovered series of {name} diverged from the offline engine"
+        );
+    }
+    client.shutdown_server().unwrap();
+    let _ = serve.child.wait();
     let _ = std::fs::remove_dir_all(&ckpt);
 }
 

@@ -1010,3 +1010,134 @@ fn reactor_serves_512_connections_from_o_shards_threads() {
     drop(clients);
     client_free_shutdown(server);
 }
+
+/// A `stage` frame naming a stream the schema does not have is a
+/// `bad_request` — and its names are never interned, so such frames
+/// cannot grow the interner every hosted session shares. The same
+/// connection keeps staging valid frames afterwards.
+#[test]
+fn unknown_stream_keys_are_refused_and_the_connection_survives() {
+    let server = LaharServer::start(local_config(), schema_db()).unwrap();
+    let mut client = LaharClient::connect(server.addr(), "bogus").unwrap();
+    client.open().unwrap();
+    let frames = wire_frames(&recorded_db());
+    let mut bogus = frames[0][0].clone();
+    bogus.key = vec!["nobody-by-this-name".to_owned()];
+    match client.stage(&[bogus]) {
+        Err(EngineError::Remote {
+            code: WireCode::BadRequest,
+            message,
+        }) => assert!(message.contains("unknown stream"), "{message}"),
+        other => panic!("a bogus stream key must be a bad_request, got {other:?}"),
+    }
+    assert_eq!(client.stage(&frames[0]).unwrap(), frames[0].len());
+    client.shutdown_server().unwrap();
+    server.join().unwrap();
+}
+
+/// The checkpoint/WAL file stem of a session: its sanitized name plus a
+/// 64-bit FNV-1a hash of it — a fixed function of the name, so files
+/// written by one build are found by the next.
+fn session_stem(session: &str) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in session.as_bytes() {
+        hash ^= u64::from(*byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    let safe: String = session
+        .chars()
+        .take(48)
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect();
+    format!("{safe}-{hash:016x}")
+}
+
+/// A write-ahead segment in the version-1 format (no header; streams
+/// addressed by database index), as the previous `WalWriter` wrote it
+/// for session `legacy`: register `q`, a two-tick `stage_ticks`, a
+/// `stage` of joe plus a `stage`+`tick` of sue at t = 2, a bare `tick`,
+/// and a one-tick `stage`+`tick` at t = 4.
+const LEGACY_SEGMENT: &str = concat!(
+    "00000048 3640bd73 {\"seq\":0,\"t0\":0,\"register\":{\"name\":\"q\",\"query\":\"At(p,'a') ; At(p,'c')\"}}\n",
+    "000000d8 3271fc52 {\"seq\":1,\"t0\":0,\"ticks\":[[{\"s\":0,\"p\":[0.55,0.2,0.0,0.25]},{\"s\":1,\"p\":[0.0,0.5800000000000001,0.2,0.21999999999999997]}],[{\"s\":0,\"p\":[0.0,0.55,0.2,0.25]},{\"s\":1,\"p\":[0.2,0.0,0.5800000000000001,0.21999999999999997]}]]}\n",
+    "0000003b 2052bf64 {\"seq\":2,\"t0\":2,\"staged\":[{\"s\":0,\"p\":[0.2,0.0,0.55,0.25]}]}\n",
+    "00000059 158cc57d {\"seq\":3,\"t0\":2,\"ticks\":[[{\"s\":1,\"p\":[0.5800000000000001,0.2,0.0,0.21999999999999997]}]]}\n",
+    "0000001d 81280afc {\"seq\":4,\"t0\":3,\"ticks\":[[]]}\n",
+    "00000079 f018b3a1 {\"seq\":5,\"t0\":4,\"ticks\":[[{\"s\":0,\"p\":[0.0,0.55,0.2,0.25]},{\"s\":1,\"p\":[0.2,0.0,0.5800000000000001,0.21999999999999997]}]]}\n",
+);
+
+/// A log written in the previous segment format replays bit-identically,
+/// recovery rotates off it, and the session then streams (and restarts)
+/// on the current format.
+#[test]
+fn version_one_wal_segment_replays_bit_identically() {
+    let dir = temp_dir("legacy-wal");
+    std::fs::create_dir_all(&dir).unwrap();
+    let stem = session_stem("legacy");
+    std::fs::write(dir.join(format!("{stem}.g00000000.wal")), LEGACY_SEGMENT).unwrap();
+    // The fixture's script: recorded ticks 0-2 and 4, an all-⊥ tick 3,
+    // then recorded ticks 5-7 streamed live below.
+    let reference = {
+        let (mut db, builders) = schema_parts();
+        for (s, b) in builders.iter().enumerate() {
+            let ms = (0..TICKS)
+                .map(|t| {
+                    if t == 3 {
+                        b.point(None)
+                    } else {
+                        marginal_at(b, t, s)
+                    }
+                })
+                .collect::<Vec<_>>();
+            db.add_stream(b.clone().independent(ms).unwrap()).unwrap();
+        }
+        bits(&Lahar::prob_series(&db, SRC).unwrap())
+    };
+    let config = || {
+        local_builder()
+            .checkpoint_dir(&dir)
+            .session_config(
+                lahar::SessionConfig::builder()
+                    .durability(lahar::Durability::Batch)
+                    .build()
+                    .unwrap(),
+            )
+            .build()
+            .unwrap()
+    };
+
+    let server = LaharServer::start(config(), schema_db()).unwrap();
+    let mut client = LaharClient::connect(server.addr(), "legacy").unwrap();
+    assert_eq!(client.open().unwrap(), (5, true));
+    assert_eq!(bits(&client.series("q").unwrap()), reference[..5]);
+    let frames = wire_frames(&recorded_db());
+    for frame in &frames[5..] {
+        client.stage_tick(frame).unwrap();
+    }
+    assert_eq!(bits(&client.series("q").unwrap()), reference);
+    // Every segment left behind is in the current format.
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "wal"))
+        .collect();
+    segments.sort();
+    let newest = std::fs::read(segments.last().unwrap()).unwrap();
+    assert!(newest.starts_with(b"lahar-wal 2\n"), "{segments:?}");
+    drop(client);
+    client_free_shutdown(server);
+
+    let server = LaharServer::start(config(), schema_db()).unwrap();
+    let mut client = LaharClient::connect(server.addr(), "legacy").unwrap();
+    assert_eq!(client.open().unwrap(), (TICKS, true));
+    assert_eq!(bits(&client.series("q").unwrap()), reference);
+    drop(client);
+    client_free_shutdown(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
