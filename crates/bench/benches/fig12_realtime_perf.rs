@@ -10,7 +10,7 @@
 
 use lahar_baselines::{mle_world, DeterministicCep};
 use lahar_bench::*;
-use lahar_core::{ExtendedRegularEvaluator, RegularEvaluator, Sampler, SamplerConfig};
+use lahar_core::{CompileOptions, Lahar, Sampler, SamplerConfig};
 use lahar_query::NormalQuery;
 
 fn main() {
@@ -39,18 +39,16 @@ fn main() {
                 if extended {
                     let q =
                         lahar_query::parse_and_validate(db.catalog(), db.interner(), q2()).unwrap();
-                    let nq = NormalQuery::from_query(&q);
-                    let eval = ExtendedRegularEvaluator::new(&db, &nq).unwrap();
-                    let s = eval.prob_series(&db, db.horizon());
+                    let eval = Lahar::compile_with(&db, &q, CompileOptions::new()).unwrap();
+                    let s = eval.prob_series(db.horizon()).unwrap();
                     std::hint::black_box(s);
                 } else {
                     for tag in &tags {
                         let q =
                             lahar_query::parse_and_validate(db.catalog(), db.interner(), &q1(tag))
                                 .unwrap();
-                        let nq = NormalQuery::from_query(&q);
-                        let eval = RegularEvaluator::new(&db, &nq).unwrap();
-                        std::hint::black_box(eval.prob_series(&db, db.horizon()));
+                        let eval = Lahar::compile_with(&db, &q, CompileOptions::new()).unwrap();
+                        std::hint::black_box(eval.prob_series(db.horizon()).unwrap());
                     }
                 }
             });

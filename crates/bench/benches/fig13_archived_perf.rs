@@ -12,7 +12,7 @@
 
 use lahar_baselines::DeterministicCep;
 use lahar_bench::*;
-use lahar_core::{ExtendedRegularEvaluator, RegularEvaluator, Sampler, SamplerConfig};
+use lahar_core::{CompileOptions, Lahar, Sampler, SamplerConfig};
 use lahar_query::NormalQuery;
 
 fn main() {
@@ -50,17 +50,15 @@ fn main() {
                 if extended {
                     let q =
                         lahar_query::parse_and_validate(db.catalog(), db.interner(), q2()).unwrap();
-                    let nq = NormalQuery::from_query(&q);
-                    let eval = ExtendedRegularEvaluator::new(&db, &nq).unwrap();
-                    std::hint::black_box(eval.prob_series(&db, db.horizon()));
+                    let eval = Lahar::compile_with(&db, &q, CompileOptions::new()).unwrap();
+                    std::hint::black_box(eval.prob_series(db.horizon()).unwrap());
                 } else {
                     for tag in &tags {
                         let q =
                             lahar_query::parse_and_validate(db.catalog(), db.interner(), &q1(tag))
                                 .unwrap();
-                        let nq = NormalQuery::from_query(&q);
-                        let eval = RegularEvaluator::new(&db, &nq).unwrap();
-                        std::hint::black_box(eval.prob_series(&db, db.horizon()));
+                        let eval = Lahar::compile_with(&db, &q, CompileOptions::new()).unwrap();
+                        std::hint::black_box(eval.prob_series(db.horizon()).unwrap());
                     }
                 }
             });
@@ -132,9 +130,8 @@ fn main() {
                             &q1(tag),
                         )
                         .unwrap();
-                        let nq = NormalQuery::from_query(&q);
-                        let eval = RegularEvaluator::new(&rt_db, &nq).unwrap();
-                        std::hint::black_box(eval.prob_series(&rt_db, rt_db.horizon()));
+                        let eval = Lahar::compile_with(&rt_db, &q, CompileOptions::new()).unwrap();
+                        std::hint::black_box(eval.prob_series(rt_db.horizon()).unwrap());
                     }
                 });
                 rt_eff_sample = effective_objects_per_sec(n, ticks, rt_secs);

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lahar_bench::{perf_deployment, q1, q2};
-use lahar_core::{ChainEvaluator, ExtendedRegularEvaluator, IntervalChain, Sampler, SamplerConfig};
+use lahar_core::{ChainEvaluator, CompileOptions, IntervalChain, Lahar, Sampler, SamplerConfig};
 use lahar_query::{parse_and_validate, NormalQuery};
 use std::hint::black_box;
 
@@ -47,11 +47,11 @@ fn bench_chain_step(c: &mut Criterion) {
 fn bench_extended(c: &mut Criterion) {
     let dep = perf_deployment(20, 60, 3);
     let db = dep.filtered_database();
-    let q = nq(&db, q2());
+    let q = parse_and_validate(db.catalog(), db.interner(), q2()).unwrap();
     c.bench_function("extended_regular_20_tags_60_ticks", |b| {
         b.iter_batched(
-            || ExtendedRegularEvaluator::new(&db, &q).unwrap(),
-            |eval| black_box(eval.prob_series(&db, db.horizon())),
+            || Lahar::compile_with(&db, &q, CompileOptions::new()).unwrap(),
+            |eval| black_box(eval.prob_series(db.horizon()).unwrap()),
             criterion::BatchSize::SmallInput,
         )
     });

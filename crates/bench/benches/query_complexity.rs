@@ -7,8 +7,7 @@
 //! Markovian queries run offline.
 
 use lahar_bench::*;
-use lahar_core::ExtendedRegularEvaluator;
-use lahar_query::NormalQuery;
+use lahar_core::{CompileOptions, Lahar};
 
 /// An n-subgoal extended-regular chain through hallways ending in coffee.
 fn chain_query(n_subgoals: usize) -> String {
@@ -48,10 +47,9 @@ fn main() {
         let src = chain_query(n);
         let run = |db: &lahar_model::Database| {
             let q = lahar_query::parse_and_validate(db.catalog(), db.interner(), &src).unwrap();
-            let nq = NormalQuery::from_query(&q);
             let (_, secs) = timed(|| {
-                let eval = ExtendedRegularEvaluator::new(db, &nq).unwrap();
-                std::hint::black_box(eval.prob_series(db, db.horizon()));
+                let eval = Lahar::compile_with(db, &q, CompileOptions::new()).unwrap();
+                std::hint::black_box(eval.prob_series(db.horizon()).unwrap());
             });
             secs
         };

@@ -59,10 +59,11 @@ pub(crate) struct SoaDesc<'a> {
 
 /// Where an independent-mode step reads this tick's marginals from.
 pub(crate) enum MarginalSource<'a> {
-    /// `marginal_at(t)` of each relevant stream (batch evaluation).
+    /// `marginal_at(t)` of each relevant stream ([`ChainEvaluator::step`],
+    /// which the safe plan's interval chains use).
     Db(&'a Database),
-    /// A session tick's frame (also on worker threads, where the
-    /// database is not shareable).
+    /// A tick frame: a session's, or one filled from recorded history
+    /// (also on worker threads, where the database is not shareable).
     Frame(&'a TickFrame),
 }
 
@@ -401,6 +402,11 @@ impl ChainEvaluator {
     /// speed differs.
     pub fn force_interpreter(&mut self, on: bool) {
         self.local.set_force_interpreter(on);
+    }
+
+    /// Indices into `db.streams()` of the streams this chain reads.
+    pub(crate) fn streams(&self) -> &[usize] {
+        &self.streams
     }
 
     /// Drains the kernel-path counters accumulated since the last call.

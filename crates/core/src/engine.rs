@@ -9,11 +9,10 @@
 //! does not cover; see DESIGN.md).
 
 use crate::error::EngineError;
-use crate::extended::ExtendedRegularEvaluator;
-use crate::regular::RegularEvaluator;
 use crate::safeplan::SafePlanExecutor;
 use crate::sampler::{Sampler, SamplerConfig};
 use crate::stats::EngineStats;
+use crate::streaming::{ground, Archived, QueryKind};
 use lahar_model::Database;
 use lahar_query::{
     classify, compile_safe_plan, parse_and_validate, NormalQuery, Query, QueryClass, QueryError,
@@ -45,71 +44,68 @@ impl std::fmt::Display for Algorithm {
 }
 
 /// A query compiled against a database snapshot.
-pub enum CompiledQuery<'db> {
-    /// Streaming regular evaluator.
-    Regular {
-        /// The database the evaluator runs over.
-        db: &'db Database,
-        /// The evaluator.
-        eval: RegularEvaluator,
-    },
-    /// Streaming extended-regular evaluator.
-    Extended {
-        /// The database the evaluator runs over.
-        db: &'db Database,
-        /// The evaluator.
-        eval: ExtendedRegularEvaluator,
-    },
-    /// Offline safe-plan executor.
-    Safe {
-        /// The executor.
-        exec: SafePlanExecutor<'db>,
-        /// Next timestep for the incremental [`CompiledQuery::step`] API.
-        t: u32,
-    },
+pub struct CompiledQuery<'db> {
+    db: &'db Database,
+    plan: Plan<'db>,
+}
+
+enum Plan<'db> {
+    /// Regular or extended regular: the query's chains, stepped over
+    /// the archive's recorded marginals.
+    Streaming(Archived),
+    /// Offline safe-plan executor, with the next timestep for the
+    /// incremental [`CompiledQuery::step`] API.
+    Safe { exec: SafePlanExecutor<'db>, t: u32 },
     /// Monte Carlo sampler.
-    Sampled {
-        /// The database the sampler runs over.
-        db: &'db Database,
-        /// The sampler.
-        eval: Sampler,
-    },
+    Sampled(Sampler),
 }
 
 impl CompiledQuery<'_> {
     /// The algorithm in use.
     pub fn algorithm(&self) -> Algorithm {
-        match self {
-            CompiledQuery::Regular { .. } => Algorithm::Regular,
-            CompiledQuery::Extended { .. } => Algorithm::ExtendedRegular,
-            CompiledQuery::Safe { .. } => Algorithm::SafePlan,
-            CompiledQuery::Sampled { .. } => Algorithm::Sampling,
+        match &self.plan {
+            Plan::Streaming(eval) => match eval.kind {
+                QueryKind::Regular => Algorithm::Regular,
+                QueryKind::Extended => Algorithm::ExtendedRegular,
+            },
+            Plan::Safe { .. } => Algorithm::SafePlan,
+            Plan::Sampled(_) => Algorithm::Sampling,
         }
     }
 
     /// Consumes the next timestep and returns `μ(q@t)` for it (safe plans
     /// compute the point probability directly).
     pub fn step(&mut self) -> Result<f64, EngineError> {
-        match self {
-            CompiledQuery::Regular { db, eval } => Ok(eval.step(db)),
-            CompiledQuery::Extended { db, eval } => Ok(eval.step(db)),
-            CompiledQuery::Safe { exec, t } => {
+        match &mut self.plan {
+            Plan::Streaming(eval) => eval.step(self.db),
+            Plan::Safe { exec, t } => {
                 let now = *t;
                 *t += 1;
                 exec.prob_at(now)
             }
-            CompiledQuery::Sampled { db, eval } => Ok(eval.step(db)),
+            Plan::Sampled(eval) => Ok(eval.step(self.db)),
         }
     }
 
     /// The next `horizon` values of `μ(q@t)`, starting from the current
     /// cursor (`t = 0` for a freshly compiled query).
     pub fn prob_series(mut self, horizon: u32) -> Result<Vec<f64>, EngineError> {
-        match &mut self {
+        match &mut self.plan {
             // The batch interval-algebra path is only equivalent from a
             // fresh cursor; a stepped executor must continue from `t`.
-            CompiledQuery::Safe { exec, t: 0 } => exec.prob_series(horizon),
+            Plan::Safe { exec, t: 0 } => exec.prob_series(horizon),
             _ => (0..horizon).map(|_| self.step()).collect(),
+        }
+    }
+
+    /// Test/bench hook: pins every chain of a regular or extended
+    /// regular query to the shared automaton's interpreter path (see
+    /// [`ChainEvaluator::force_interpreter`](crate::ChainEvaluator::force_interpreter));
+    /// answers are identical, only the transition-resolution speed
+    /// differs. Other algorithms ignore it.
+    pub fn force_interpreter(&mut self, on: bool) {
+        if let Plan::Streaming(eval) = &mut self.plan {
+            eval.force_interpreter(on);
         }
     }
 }
@@ -141,9 +137,8 @@ impl<'a> From<&'a Query> for QuerySource<'a> {
     }
 }
 
-/// Options for [`Lahar::compile_with`]. The default is equivalent to the
-/// old zero-argument `compile`: default sampler configuration, no
-/// instrumentation.
+/// Options for [`Lahar::compile_with`]. The default is the default
+/// sampler configuration and no instrumentation.
 #[derive(Clone, Copy, Default)]
 pub struct CompileOptions<'s> {
     sampler: SamplerConfig,
@@ -163,8 +158,8 @@ impl<'s> CompileOptions<'s> {
         self
     }
 
-    /// Records sampler world counts and exact-path→sampler fallbacks
-    /// (with their reasons) into `stats`.
+    /// Records grounded chains, sampler world counts and
+    /// exact-path→sampler fallbacks (with their reasons) into `stats`.
     pub fn instrument(mut self, stats: &'s EngineStats) -> Self {
         self.stats = Some(stats);
         self
@@ -176,10 +171,7 @@ pub struct Lahar;
 
 impl Lahar {
     /// Classifies and compiles a query — text or AST — under `options`.
-    ///
-    /// This is the single compilation entry point; the historical
-    /// `compile` / `compile_query` / `compile_with_sampler_config` /
-    /// `compile_instrumented` names forward here and are deprecated.
+    /// This is the single compilation entry point.
     pub fn compile_with<'db, 'a>(
         db: &'db Database,
         query: impl Into<QuerySource<'a>>,
@@ -196,60 +188,6 @@ impl Lahar {
         Self::compile_inner(db, q, options.sampler, options.stats)
     }
 
-    /// Parses, validates, classifies, and compiles a textual query.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Lahar::compile_with(db, src, CompileOptions::new())`"
-    )]
-    pub fn compile<'db>(db: &'db Database, src: &str) -> Result<CompiledQuery<'db>, EngineError> {
-        Self::compile_with(db, src, CompileOptions::new())
-    }
-
-    /// Classifies and compiles an AST query.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Lahar::compile_with(db, query, CompileOptions::new())`"
-    )]
-    pub fn compile_query<'db>(
-        db: &'db Database,
-        q: &Query,
-    ) -> Result<CompiledQuery<'db>, EngineError> {
-        Self::compile_with(db, q, CompileOptions::new())
-    }
-
-    /// Full-control compilation.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Lahar::compile_with(db, query, CompileOptions::new().sampler_config(config))`"
-    )]
-    pub fn compile_with_sampler_config<'db>(
-        db: &'db Database,
-        q: &Query,
-        sampler_config: SamplerConfig,
-    ) -> Result<CompiledQuery<'db>, EngineError> {
-        Self::compile_with(db, q, CompileOptions::new().sampler_config(sampler_config))
-    }
-
-    /// Compilation with sampler statistics recorded into `stats`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Lahar::compile_with(db, query, CompileOptions::new().sampler_config(config).instrument(stats))`"
-    )]
-    pub fn compile_instrumented<'db>(
-        db: &'db Database,
-        q: &Query,
-        sampler_config: SamplerConfig,
-        stats: &EngineStats,
-    ) -> Result<CompiledQuery<'db>, EngineError> {
-        Self::compile_with(
-            db,
-            q,
-            CompileOptions::new()
-                .sampler_config(sampler_config)
-                .instrument(stats),
-        )
-    }
-
     fn compile_inner<'db>(
         db: &'db Database,
         q: &Query,
@@ -264,28 +202,32 @@ impl Lahar {
             if let Some(stats) = stats {
                 stats.record_sampler(eval.n_samples() as u64);
             }
-            Ok(CompiledQuery::Sampled { db, eval })
+            Ok(Plan::Sampled(eval))
         };
         let nq = NormalQuery::from_query(q);
-        match classify(db.catalog(), &nq) {
-            QueryClass::Regular => match RegularEvaluator::new(db, &nq) {
-                Ok(eval) => Ok(CompiledQuery::Regular { db, eval }),
-                // A regular query with a free key variable can make the
-                // joint hidden chain exponential in the number of streams;
-                // the sampler simulates the same product space world by
-                // world instead.
-                Err(e @ EngineError::StateSpaceTooLarge { .. }) => {
-                    sample(&nq, Some(&format!("regular: {e}")))
+        let plan = match classify(db.catalog(), &nq) {
+            class @ (QueryClass::Regular | QueryClass::ExtendedRegular) => {
+                match ground(db, &nq, class) {
+                    Ok((kind, chains)) => {
+                        if let Some(stats) = stats {
+                            stats.record_grounding(chains.len() as u64);
+                        }
+                        Ok(Plan::Streaming(Archived::new(db, kind, chains)))
+                    }
+                    // A regular query with a free key variable can make
+                    // the joint hidden chain exponential in the number of
+                    // streams; the sampler simulates the same product
+                    // space world by world instead.
+                    Err(e @ EngineError::StateSpaceTooLarge { .. }) => {
+                        let class = match class {
+                            QueryClass::Regular => "regular",
+                            _ => "extended",
+                        };
+                        sample(&nq, Some(&format!("{class}: {e}")))
+                    }
+                    Err(e) => Err(e),
                 }
-                Err(e) => Err(e),
-            },
-            QueryClass::ExtendedRegular => match ExtendedRegularEvaluator::new(db, &nq) {
-                Ok(eval) => Ok(CompiledQuery::Extended { db, eval }),
-                Err(e @ EngineError::StateSpaceTooLarge { .. }) => {
-                    sample(&nq, Some(&format!("extended: {e}")))
-                }
-                Err(e) => Err(e),
-            },
+            }
             QueryClass::Safe => {
                 // A classified-safe query can still fall outside the exact
                 // algebra (planner refusal or unsupported seq shape), which
@@ -297,7 +239,7 @@ impl Lahar {
                     .map_err(EngineError::from)
                     .and_then(|plan| SafePlanExecutor::new(db, &plan))
                 {
-                    Ok(exec) => Ok(CompiledQuery::Safe { exec, t: 0 }),
+                    Ok(exec) => Ok(Plan::Safe { exec, t: 0 }),
                     Err(EngineError::Query(QueryError::NotInClass(reason))) => {
                         sample(&nq, Some(&reason))
                     }
@@ -305,7 +247,8 @@ impl Lahar {
                 }
             }
             QueryClass::Unsafe => sample(&nq, None),
-        }
+        }?;
+        Ok(CompiledQuery { db, plan })
     }
 
     /// One-shot: the full probability series of a textual query.

@@ -184,15 +184,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "<non-string panic payload>".to_owned())
 }
 
-/// Converts a payload caught from a panicking worker thread into
-/// [`EngineError::WorkerPanicked`] (with no worker attribution).
-pub(crate) fn worker_panic(payload: Box<dyn std::any::Any + Send>) -> EngineError {
-    EngineError::WorkerPanicked {
-        worker: None,
-        message: panic_message(payload),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

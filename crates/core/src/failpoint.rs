@@ -5,8 +5,10 @@
 //! the feature on, named fail points in the engine's hot paths —
 //! `"worker_step"` and `"sequential_step"` (checked once per chain per
 //! tick at the top of the session's shard step: by the epoch job on a
-//! pool worker, and by the same job run inline on the caller's thread),
-//! and `"sampler"`
+//! pool worker, and by the same job run inline on the caller's thread;
+//! `"history_step"` when a chain set steps over recorded frames —
+//! offline archives, late registration, recovery replays), and
+//! `"sampler"`
 //! (Monte Carlo compilation) — consult a process-global registry and
 //! can panic, sleep, or return an [`EngineError::FaultInjected`]
 //! according to a **seeded deterministic schedule**, so every chaos run

@@ -6,8 +6,8 @@
 //!
 //! | Class (static analysis) | Evaluator | Cost |
 //! |---|---|---|
-//! | Regular (Def 3.1) | [`RegularEvaluator`] — symbol-set translation + NFA simulated as a Markov chain over (hidden value × automaton state) | `O(1)` space, streaming (Thm 3.3) |
-//! | Extended regular (Def 3.5) | [`ExtendedRegularEvaluator`] — one chain per key binding, combined as `1 − Π(1 − pᵢ)` | `O(m)` space (Thm 3.7) |
+//! | Regular (Def 3.1) | [`ChainEvaluator`] — symbol-set translation + NFA simulated as a Markov chain over (hidden value × automaton state) | `O(1)` space, streaming (Thm 3.3) |
+//! | Extended regular (Def 3.5) | one [`ChainEvaluator`] per key binding, stepped together and combined as `1 − Π(1 − pᵢ)` | `O(m)` space (Thm 3.7) |
 //! | Safe (Def 3.8) | [`SafePlanExecutor`] — interval algebra with the latest-precursor/latest-witness `seq` factorization | `O(|W| T²)` offline (Thm 3.10) |
 //! | Unsafe (§3.4, #P-hard) | [`Sampler`] — (ε, δ) Monte Carlo with bitvector world-parallel NFA simulation | Prop 3.20 |
 //!
@@ -43,7 +43,6 @@ mod client;
 mod engine;
 mod error;
 pub mod expose;
-mod extended;
 pub mod failpoint;
 mod interval;
 pub mod json;
@@ -52,7 +51,6 @@ mod occurrence;
 mod pool;
 pub mod protocol;
 mod reactor;
-mod regular;
 mod safeplan;
 mod sampler;
 mod server;
@@ -61,6 +59,7 @@ mod session;
 pub mod simd;
 mod soa;
 mod stats;
+mod streaming;
 #[allow(unsafe_code)] // see the module's unsafe-audit policy
 mod sys_poll;
 pub mod trace;
@@ -73,18 +72,14 @@ pub use client::{LaharClient, RetryPolicy};
 pub use engine::{Algorithm, CompileOptions, CompiledQuery, Lahar, QuerySource};
 pub use error::EngineError;
 pub use expose::{health_report, HealthRenderer, MetricsRenderer, MetricsServer};
-pub use extended::{ExtendedRegularEvaluator, DEFAULT_BINDING_CAP};
 pub use interval::IntervalChain;
 pub use occurrence::{OccurrenceModel, TpTw};
 pub use protocol::WireCode;
-pub use regular::RegularEvaluator;
 pub use safeplan::SafePlanExecutor;
 pub use sampler::{Sampler, SamplerConfig};
 pub use server::{LaharServer, ServerConfig, ServerConfigBuilder};
 pub use session::{Alert, QueryId, RealTimeSession, SessionConfig, SessionConfigBuilder, TickMode};
 pub use stats::{EngineStats, LatencySnapshot, QuerySnapshot, StatsSnapshot};
-pub use translate::{
-    a_bit, build_regex, candidate_values, enumerate_bindings, m_bit, relevant_streams,
-    stream_relevant, substitute_cond, substitute_items, symbol_table, symbols_for_event,
-};
+pub use streaming::DEFAULT_BINDING_CAP;
+pub use translate::{build_regex, substitute_items, symbols_for_event};
 pub use wal::Durability;

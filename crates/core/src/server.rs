@@ -1730,19 +1730,11 @@ fn wal_append(hosted: &mut Hosted, t0: u64, frame: &str) -> Result<(), Response>
     }
 }
 
-/// Registers a query on the hosted session, backfilling the
-/// pre-registration series prefix from the batch engine so `series`
-/// always starts at t = 0. The prefix is computed *before*
-/// `session.register`: if it failed afterwards, the engine would hold a
-/// query the by_name/sources/series tables don't, misaligning every
-/// later registration's index.
+/// Registers a query on the hosted session. The session's fast-forward
+/// through the closed ticks yields the query's answers so far, which
+/// become the `series` prefix, so `series` always starts at t = 0.
 fn register_query(hosted: &mut Hosted, name: &str, query: &str) -> Result<usize, EngineError> {
-    let prefix = if hosted.session.now() > 0 {
-        crate::Lahar::prob_series(hosted.session.database(), query)?
-    } else {
-        Vec::new()
-    };
-    let id = hosted.session.register(name, query)?;
+    let (id, prefix) = hosted.session.register_with_series(name, query)?;
     let idx = id.index();
     debug_assert_eq!(idx, hosted.series.len());
     hosted.by_name.insert(name.to_owned(), idx);

@@ -10,7 +10,9 @@
 //! # Sharded, epoch-batched parallel ticks
 //!
 //! Internally the session owns every registered query's per-key chains
-//! directly, partitioned into contiguous, balanced *shards*. Every
+//! directly, partitioned into contiguous, balanced *shards* — each a
+//! [`ChainSet`], the type every regular and extended evaluation steps
+//! ([`crate::streaming`]). Every
 //! shard advances through one job — step the shard through the epoch's
 //! ticks with the batched kernel of [`crate::soa`], catching panics —
 //! run either inline on the caller's thread (sequential) or on the
@@ -65,12 +67,11 @@
 use crate::chain::{ChainEvaluator, TickFrame};
 use crate::checkpoint::{Checkpoint, QueryMeta, CHECKPOINT_VERSION};
 use crate::error::{panic_message, EngineError};
-use crate::extended::ExtendedRegularEvaluator;
 use crate::kernel::{KernelTickStats, SymCache};
-use crate::regular::RegularEvaluator;
 use crate::stats::EngineStats;
+use crate::streaming::{ground, ChainSet, HistoryFrames, QueryKind};
 use lahar_model::{Database, Marginal, StreamData, StreamId, StreamKey};
-use lahar_query::{classify, parse_and_validate, NormalQuery, Query, QueryClass, QueryError};
+use lahar_query::{classify, parse_and_validate, NormalQuery, Query, QueryError};
 use std::net::SocketAddr;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::Arc;
@@ -361,15 +362,6 @@ impl SessionConfigBuilder {
     }
 }
 
-/// How a registered query recombines its chains' probabilities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueryKind {
-    /// Single chain; its accept probability is the answer.
-    Regular,
-    /// Per-key chains combined as `1 − Π(1 − pᵢ)` (Thm 3.7).
-    Extended,
-}
-
 struct Registered {
     name: Arc<str>,
     kind: QueryKind,
@@ -384,39 +376,8 @@ struct Registered {
     n_chains: usize,
 }
 
-/// A contiguous run of chains, owned by the session between ticks and
-/// shipped to a worker during a parallel tick.
-struct Shard {
-    /// Global sequence index of `chains[0]`.
-    start: usize,
-    /// `(query index, evaluator)` in global sequence order.
-    chains: Vec<(usize, ChainEvaluator)>,
-    /// Reusable SoA batch scratch ([`crate::soa`]); holds no chain
-    /// state, travels with the shard to worker threads.
-    scratch: crate::soa::SoaScratch,
-    /// The last stepped epoch's per-chain probabilities (tick-major,
-    /// shard order) and wall-clock nanoseconds per query index, as
-    /// [`step_shard_epoch`] writes them; reused across epochs.
-    probs: Vec<f64>,
-    query_ns: Vec<u64>,
-}
-
-impl Shard {
-    /// A shard with fresh scratch: the SoA plan belongs to one chain
-    /// list, so every rebuilt list starts a new one.
-    fn new(start: usize, chains: Vec<(usize, ChainEvaluator)>) -> Self {
-        Self {
-            start,
-            chains,
-            scratch: crate::soa::SoaScratch::default(),
-            probs: Vec::new(),
-            query_ns: Vec::new(),
-        }
-    }
-}
-
 /// `(shard index, stepped shard + its epoch's kernel counters | fault)`.
-type Reply = (usize, Result<(Shard, KernelTickStats), EngineError>);
+type Reply = (usize, Result<(ChainSet, KernelTickStats), EngineError>);
 
 /// One epoch's merged shard results, reused across epochs.
 #[derive(Default)]
@@ -430,49 +391,13 @@ struct EpochOutput {
     fault: Option<EngineError>,
 }
 
-/// Steps every chain in `shard` through every tick of an epoch —
-/// shard-major, so one chain's working set stays hot across its `k`
-/// steps — into `shard.probs` and `shard.query_ns`, returning the
-/// kernel-path counters. Each tick gets its own cache generation
-/// ([`SymCache::begin_tick`]): within one tick all chains step against
-/// the same marginals, so chains with equal `(streams, syms)`
-/// signatures share one union-convolution; across ticks they never
-/// share distributions.
-fn step_shard_epoch(
-    shard: &mut Shard,
-    ticks: &[Arc<TickFrame>],
-    n_queries: usize,
-    cache: &mut SymCache,
-    failpoint: &'static str,
-) -> Result<KernelTickStats, EngineError> {
-    let n = shard.chains.len();
-    shard.probs.clear();
-    shard.probs.resize(ticks.len() * n, 0.0);
-    shard.query_ns.clear();
-    shard.query_ns.resize(n_queries, 0);
-    let mut kernel = KernelTickStats::default();
-    for (j, frame) in ticks.iter().enumerate() {
-        cache.begin_tick();
-        kernel.add(&crate::soa::step_shard_chains(
-            &mut shard.chains,
-            frame,
-            cache,
-            failpoint,
-            &mut shard.scratch,
-            &mut shard.probs[j * n..(j + 1) * n],
-            &mut shard.query_ns,
-        )?);
-    }
-    Ok(kernel)
-}
-
 /// The job every epoch runs once per non-empty shard: on the shared
 /// pool thread that picked it up (`worker: Some`, fail point
 /// `worker_step`) or inline on the session's thread (`worker: None`,
 /// fail point `sequential_step`). Panics are caught and reported as
 /// [`EngineError::WorkerPanicked`].
 fn run_shard_epoch(
-    shard: &mut Shard,
+    shard: &mut ChainSet,
     ticks: &[Arc<TickFrame>],
     n_queries: usize,
     cache: &mut SymCache,
@@ -486,7 +411,7 @@ fn run_shard_epoch(
         None => ("sequential_step", span),
     };
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        step_shard_epoch(shard, ticks, n_queries, cache, failpoint)
+        shard.step_epoch(ticks, n_queries, cache, failpoint)
     }))
     .unwrap_or_else(|payload| {
         Err(EngineError::WorkerPanicked {
@@ -507,8 +432,9 @@ pub struct RealTimeSession {
     db: Database,
     staged: Vec<Option<Marginal>>,
     queries: Vec<Registered>,
-    /// All chains of all queries, contiguous in global sequence order.
-    shards: Vec<Option<Shard>>,
+    /// All chains of all queries, contiguous in global sequence order,
+    /// one [`ChainSet`] per shard.
+    shards: Vec<Option<ChainSet>>,
     total_chains: usize,
     config: SessionConfig,
     /// Shard count the parallel path uses: [`effective_workers_of`] the
@@ -595,7 +521,7 @@ impl RealTimeSession {
             db,
             staged,
             queries: Vec::new(),
-            shards: vec![Some(Shard::new(0, Vec::new()))],
+            shards: vec![Some(ChainSet::new(0, Vec::new()))],
             total_chains: 0,
             workers: effective_workers_of(&config),
             config,
@@ -706,6 +632,18 @@ impl RealTimeSession {
     /// ticks have closed are fast-forwarded through the recorded history
     /// so their answers stay aligned with the session clock.
     pub fn register(&mut self, name: &str, src: &str) -> Result<QueryId, EngineError> {
+        self.register_with_series(name, src).map(|(id, _)| id)
+    }
+
+    /// [`RealTimeSession::register`], also returning the query's answers
+    /// for the already-closed ticks — the fast-forward's per-tick
+    /// results, so the serving layer's `series` starts at t = 0 without
+    /// a second evaluation.
+    pub(crate) fn register_with_series(
+        &mut self,
+        name: &str,
+        src: &str,
+    ) -> Result<(QueryId, Vec<f64>), EngineError> {
         self.ensure_live()?;
         let q = parse_and_validate(self.db.catalog(), self.db.interner(), src)?;
         self.register_impl(name, &q, Some(src.to_owned()))
@@ -717,7 +655,7 @@ impl RealTimeSession {
     /// when resilience matters.
     pub fn register_query(&mut self, name: &str, q: &Query) -> Result<QueryId, EngineError> {
         self.ensure_live()?;
-        self.register_impl(name, q, None)
+        self.register_impl(name, q, None).map(|(id, _)| id)
     }
 
     fn register_impl(
@@ -725,30 +663,31 @@ impl RealTimeSession {
         name: &str,
         q: &Query,
         source: Option<String>,
-    ) -> Result<QueryId, EngineError> {
-        let (kind, mut new_chains) = compile_chains(&self.db, q)?;
+    ) -> Result<(QueryId, Vec<f64>), EngineError> {
+        let (kind, chains) = compile_chains(&self.db, q)?;
+        let query_index = self.queries.len();
+        let n_chains = chains.len();
+        let mut set = ChainSet::new(0, chains.into_iter().map(|c| (query_index, c)).collect());
         // Fast-forward through already-closed ticks so the new query's
         // clock matches the session's.
-        for chain in &mut new_chains {
-            for _ in 0..self.t {
-                chain.step(&self.db);
-            }
-        }
-        let query_index = self.queries.len();
+        let mut series = Vec::with_capacity(self.t as usize);
+        self.replay(&mut set, 0, self.t, |_, probs| {
+            series.push(kind.combine(probs))
+        })?;
         self.queries.push(Registered {
             name: Arc::from(name),
             kind,
             source,
             first_chain: self.total_chains,
-            n_chains: new_chains.len(),
+            n_chains,
         });
-        self.total_chains += new_chains.len();
-        self.stats.record_grounding(new_chains.len() as u64);
+        self.total_chains += n_chains;
+        self.stats.record_grounding(n_chains as u64);
         self.stats
-            .register_query(query_index, name, new_chains.len() as u64);
-        self.repartition(new_chains.into_iter().map(|c| (query_index, c)).collect());
+            .register_query(query_index, name, n_chains as u64);
+        self.repartition(set.chains);
         self.record_automata_stats();
-        Ok(QueryId(query_index))
+        Ok((QueryId(query_index), series))
     }
 
     /// Recounts how many chains run on a shared compiled automaton and
@@ -787,7 +726,7 @@ impl RealTimeSession {
         for (i, slot) in self.shards.iter_mut().enumerate() {
             let take = base + usize::from(i < extra);
             let tail = rest.split_off(take);
-            *slot = Some(Shard::new(start, rest));
+            *slot = Some(ChainSet::new(start, rest));
             start += take;
             rest = tail;
         }
@@ -809,7 +748,7 @@ impl RealTimeSession {
             let shard = slot.take().expect("all shards home between ticks");
             all.extend(shard.chains);
         }
-        self.shards = (0..n).map(|_| Some(Shard::new(0, Vec::new()))).collect();
+        self.shards = (0..n).map(|_| Some(ChainSet::new(0, Vec::new()))).collect();
         self.repartition(all);
     }
 
@@ -875,24 +814,6 @@ impl RealTimeSession {
         });
         self.stats.record_staged(staged);
         outcome
-    }
-
-    /// [`RealTimeSession::stage`] addressed by raw stream index.
-    #[deprecated(
-        since = "0.1.0",
-        note = "address streams with the opaque `StreamId` handle: \
-                `session.stage(session.stream_id(key).unwrap(), marginal)`"
-    )]
-    pub fn stage_at_index(
-        &mut self,
-        stream_index: usize,
-        marginal: Marginal,
-    ) -> Result<(), EngineError> {
-        let id = self
-            .db
-            .stream_id_at(stream_index)
-            .ok_or(EngineError::NoRelevantStreams)?;
-        self.stage(id, marginal)
     }
 
     /// Closes the tick: appends every staged marginal (⊥ for unstaged
@@ -1071,29 +992,19 @@ impl RealTimeSession {
         self.queries
             .iter()
             .enumerate()
-            .map(|(i, reg)| {
-                let chains = &probs[reg.first_chain..reg.first_chain + reg.n_chains];
-                let probability = match reg.kind {
-                    QueryKind::Regular => chains[0],
-                    // Thm 3.7: per-key instances are independent, so
-                    // their combination is 1 − Π(1 − pᵢ), multiplied in
-                    // canonical binding order for reproducibility.
-                    QueryKind::Extended => {
-                        1.0 - chains.iter().fold(1.0, |none, p| none * (1.0 - p))
-                    }
-                };
-                Alert {
-                    query: QueryId(i),
-                    name: reg.name.clone(),
-                    t,
-                    probability,
-                }
+            .map(|(i, reg)| Alert {
+                query: QueryId(i),
+                name: reg.name.clone(),
+                t,
+                probability: reg
+                    .kind
+                    .combine(&probs[reg.first_chain..reg.first_chain + reg.n_chains]),
             })
             .collect()
     }
 
     /// Takes shard `w` out for an epoch; an empty shard stays home.
-    fn take_busy_shard(&mut self, w: usize) -> Option<Shard> {
+    fn take_busy_shard(&mut self, w: usize) -> Option<ChainSet> {
         let slot = &mut self.shards[w];
         match slot.take().expect("all shards home between ticks") {
             shard if shard.chains.is_empty() => {
@@ -1419,34 +1330,43 @@ impl RealTimeSession {
         Ok(session)
     }
 
-    /// Replays a chain forward to `target`: through the in-memory replay
-    /// log where it covers the gap (ticks since the last checkpoint) and
-    /// through the database's recorded history otherwise. Both paths run
-    /// the same arithmetic as live ticks, so the result is bit-identical
-    /// to having never lost the chain. `on_step` observes every replayed
-    /// step as `(closed tick, accept probability)` — how recovery
-    /// collects the per-tick answers of an interrupted multi-tick epoch.
-    fn replay_chain(
-        &self,
-        chain: &mut ChainEvaluator,
-        target: u32,
-        mut on_step: impl FnMut(u32, f64),
+    /// Steps `set` — chains all at tick `from` — through the closed
+    /// ticks `from..to`: over the replay log's frames where it covers
+    /// them (ticks since the last checkpoint), over frames filled from
+    /// the recorded history elsewhere. Both carry exactly the marginals
+    /// the live ticks stepped on, and the set steps through the live
+    /// kernel, so the result is bit-identical to having stepped live.
+    /// `on_tick` sees each tick's per-chain probabilities (set order).
+    fn replay(
+        &mut self,
+        set: &mut ChainSet,
+        from: u32,
+        to: u32,
+        mut on_tick: impl FnMut(u32, &[f64]),
     ) -> Result<(), EngineError> {
-        while chain.next_t() < target {
-            let t = chain.next_t();
-            let log_entry = t
+        let mut history: Option<HistoryFrames> = None;
+        let mut kernel = KernelTickStats::default();
+        // Room for the query index of a registration in progress.
+        let n_queries = self.queries.len() + 1;
+        for t in from..to {
+            let logged = t
                 .checked_sub(self.replay_base)
                 .and_then(|d| self.replay_log.get(d as usize));
-            match log_entry {
-                Some(frame) => {
-                    chain.step_frame(frame, None)?;
-                }
-                None => {
-                    chain.step(&self.db);
-                }
-            }
-            on_step(t, chain.accept_prob());
+            let frame: &TickFrame = match logged {
+                Some(frame) => frame,
+                None => history
+                    .get_or_insert_with(|| HistoryFrames::new(&self.db, &set.chains))
+                    .fill(&self.db, t),
+            };
+            kernel.add(&set.step_epoch(
+                std::slice::from_ref(&frame),
+                n_queries,
+                &mut self.sym_cache,
+                "history_step",
+            )?);
+            on_tick(t, &set.probs);
         }
+        self.stats.record_kernel(&kernel);
         Ok(())
     }
 
@@ -1491,14 +1411,11 @@ impl RealTimeSession {
             while stalled.recv().is_ok() {}
         }
         let n_shards = self.shards.len();
-        let mut survivors: Vec<Option<(usize, ChainEvaluator)>> =
+        let mut slots: Vec<Option<(usize, ChainEvaluator)>> =
             (0..self.total_chains).map(|_| None).collect();
-        for slot in &mut self.shards {
-            if let Some(shard) = slot.take() {
-                let start = shard.start;
-                for (offset, entry) in shard.chains.into_iter().enumerate() {
-                    survivors[start + offset] = Some(entry);
-                }
+        for shard in self.shards.iter_mut().filter_map(Option::take) {
+            for (offset, entry) in shard.chains.into_iter().enumerate() {
+                slots[shard.start + offset] = Some(entry);
             }
         }
         // A surviving shard finished the epoch, but only retains its
@@ -1507,85 +1424,96 @@ impl RealTimeSession {
         // intermediate ticks', so every chain is rebuilt and replayed
         // (the replay log already holds all k ticks' marginals).
         if k > 1 {
-            survivors.iter_mut().for_each(|slot| *slot = None);
+            slots.iter_mut().for_each(|slot| *slot = None);
         }
         let base = self.t;
         let mut probs: Vec<Vec<f64>> = vec![vec![0.0; self.total_chains]; k as usize];
-        let mut all: Vec<(usize, ChainEvaluator)> = Vec::with_capacity(self.total_chains);
+        for (g, slot) in slots.iter().enumerate() {
+            if let Some((_, chain)) = slot {
+                probs[0][g] = chain.accept_prob();
+            }
+        }
+        // `(global index, (query index, chain))` of every lost chain,
+        // rebuilt from its query's source and restored to the last
+        // checkpoint's state when that holds one.
+        let mut rebuilt: Vec<(usize, (usize, ChainEvaluator))> = Vec::new();
         for (qi, reg) in self.queries.iter().enumerate() {
-            let any_missing =
-                (0..reg.n_chains).any(|offset| survivors[reg.first_chain + offset].is_none());
-            let mut fresh: Vec<Option<ChainEvaluator>> = if any_missing {
-                let source = reg.source.as_ref().ok_or_else(|| {
+            let range = reg.first_chain..reg.first_chain + reg.n_chains;
+            if slots[range.clone()].iter().all(Option::is_some) {
+                continue;
+            }
+            let source = reg.source.as_ref().ok_or_else(|| {
+                EngineError::RecoveryFailed(format!(
+                    "query '{}' was registered from an AST without source text",
+                    reg.name
+                ))
+            })?;
+            let q =
+                parse_and_validate(self.db.catalog(), self.db.interner(), source).map_err(|e| {
                     EngineError::RecoveryFailed(format!(
-                        "query '{}' was registered from an AST without source text",
+                        "query '{}' failed to re-parse: {e}",
                         reg.name
                     ))
                 })?;
-                let q = parse_and_validate(self.db.catalog(), self.db.interner(), source).map_err(
-                    |e| {
-                        EngineError::RecoveryFailed(format!(
-                            "query '{}' failed to re-parse: {e}",
-                            reg.name
-                        ))
-                    },
-                )?;
-                let (kind, chains) = compile_chains(&self.db, &q)?;
-                if kind != reg.kind || chains.len() != reg.n_chains {
-                    return Err(EngineError::RecoveryFailed(format!(
-                        "query '{}' recompiled to a different shape",
-                        reg.name
-                    )));
+            let (kind, chains) = compile_chains(&self.db, &q)?;
+            if kind != reg.kind || chains.len() != reg.n_chains {
+                return Err(EngineError::RecoveryFailed(format!(
+                    "query '{}' recompiled to a different shape",
+                    reg.name
+                )));
+            }
+            for (g, mut chain) in range.zip(chains) {
+                if slots[g].is_some() {
+                    continue;
                 }
-                chains.into_iter().map(Some).collect()
-            } else {
-                Vec::new()
-            };
-            for offset in 0..reg.n_chains {
-                let g = reg.first_chain + offset;
-                let entry = match survivors[g].take() {
-                    Some(entry) => {
-                        // Only reachable for k == 1 (see above): the
-                        // survivor's final probability answers the
-                        // epoch's only tick.
-                        probs[0][g] = entry.1.accept_prob();
-                        entry
-                    }
-                    None => {
-                        let mut chain = fresh[offset].take().expect("freshly compiled chain");
-                        if let Some(ckpt) = &self.last_checkpoint {
-                            if let Some(state) = ckpt.chains.get(g) {
-                                chain.restore_state(state)?;
-                            }
-                        }
-                        self.replay_chain(&mut chain, target, |t, p| {
-                            if t >= base {
-                                probs[(t - base) as usize][g] = p;
-                            }
-                        })?;
-                        (qi, chain)
-                    }
-                };
-                debug_assert_eq!(entry.0, qi);
-                debug_assert_eq!(entry.1.next_t(), target);
-                all.push(entry);
+                if let Some(state) = self.last_checkpoint.as_ref().and_then(|c| c.chains.get(g)) {
+                    chain.restore_state(state)?;
+                }
+                rebuilt.push((g, (qi, chain)));
             }
         }
+        // Chains the last checkpoint predates start at tick 0; they catch
+        // up to the restored ones first, then all step on together.
+        let level = rebuilt
+            .iter()
+            .map(|(_, (_, c))| c.next_t())
+            .max()
+            .unwrap_or(target);
+        let (behind, level_with): (Vec<_>, Vec<_>) = rebuilt
+            .into_iter()
+            .partition(|(_, (_, c))| c.next_t() < level);
+        let (mut gs, behind): (Vec<usize>, Vec<_>) = behind.into_iter().unzip();
+        let mut set = ChainSet::new(0, behind);
+        if !set.chains.is_empty() {
+            self.replay(&mut set, 0, level, |_, _| {})?;
+        }
+        let mut chains = set.chains;
+        for (g, entry) in level_with {
+            gs.push(g);
+            chains.push(entry);
+        }
+        let mut set = ChainSet::new(0, chains);
+        if !set.chains.is_empty() {
+            self.replay(&mut set, level, target, |t, tick_probs| {
+                if t >= base {
+                    for (&g, &p) in gs.iter().zip(tick_probs) {
+                        probs[(t - base) as usize][g] = p;
+                    }
+                }
+            })?;
+        }
+        for (g, entry) in gs.into_iter().zip(set.chains) {
+            slots[g] = Some(entry);
+        }
+        let all: Vec<(usize, ChainEvaluator)> = slots
+            .into_iter()
+            .map(|slot| slot.expect("every chain survived or was rebuilt"))
+            .collect();
+        debug_assert!(all.iter().all(|(_, c)| c.next_t() == target));
         self.shards = (0..n_shards)
-            .map(|_| Some(Shard::new(0, Vec::new())))
+            .map(|_| Some(ChainSet::new(0, Vec::new())))
             .collect();
         self.repartition(all);
-        // Replays stepped chains outside the epoch job; harvest the kernel
-        // counters they accumulated so per-path totals stay complete.
-        let mut kernel = KernelTickStats::default();
-        for slot in &mut self.shards {
-            if let Some(shard) = slot.as_mut() {
-                for (_, chain) in &mut shard.chains {
-                    kernel.steps.add(chain.take_kernel_counters());
-                }
-            }
-        }
-        self.stats.record_kernel(&kernel);
         self.record_automata_stats();
         self.poisoned = false;
         self.stats.set_poisoned(false);
@@ -1625,32 +1553,13 @@ fn effective_workers_of(config: &SessionConfig) -> usize {
 }
 
 /// Compiles a streaming query into its recombination kind and per-key
-/// chains in canonical binding order. The result is a pure function of
-/// the query text and the database *schema* (declared streams, keys,
-/// domains, relations) — never of recorded marginals — which is what
-/// makes structural rebuilds during recovery deterministic.
+/// chains in canonical binding order (see [`ground`]).
 fn compile_chains(
     db: &Database,
     q: &Query,
 ) -> Result<(QueryKind, Vec<ChainEvaluator>), EngineError> {
     let nq = NormalQuery::from_query(q);
-    match classify(db.catalog(), &nq) {
-        QueryClass::Regular => Ok((
-            QueryKind::Regular,
-            vec![RegularEvaluator::new(db, &nq)?.into_chain()],
-        )),
-        QueryClass::ExtendedRegular => Ok((
-            QueryKind::Extended,
-            ExtendedRegularEvaluator::new(db, &nq)?
-                .into_chains()
-                .into_iter()
-                .map(|(_, chain)| chain)
-                .collect(),
-        )),
-        other => Err(EngineError::Query(QueryError::NotInClass(format!(
-            "streaming (regular or extended regular); query is {other}"
-        )))),
-    }
+    ground(db, &nq, classify(db.catalog(), &nq))
 }
 
 #[cfg(test)]
@@ -1823,23 +1732,6 @@ mod tests {
 
     /// The deprecated index-addressed shim forwards to the handle path
     /// and rejects out-of-range indices.
-    #[test]
-    #[allow(deprecated)]
-    fn stage_at_index_shim_forwards_and_bounds_checks() {
-        let (db, joe, _) = schema_db();
-        let mut session = RealTimeSession::new(db).unwrap();
-        let q = session.register("q", "At('joe','a')").unwrap();
-        session
-            .stage_at_index(0, joe.marginal(&[("a", 0.5)]).unwrap())
-            .unwrap();
-        let alerts = session.tick().unwrap();
-        assert!((alerts[q.index()].probability - 0.5).abs() < 1e-12);
-        assert_eq!(
-            session.stage_at_index(9, joe.marginal(&[]).unwrap()),
-            Err(EngineError::NoRelevantStreams)
-        );
-    }
-
     #[test]
     fn session_requires_empty_independent_streams() {
         let (_, joe, _) = schema_db();

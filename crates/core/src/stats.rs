@@ -748,7 +748,8 @@ pub struct StatsSnapshot {
     pub checkpoints_taken: u64,
     /// Per-binding chains stepped across all ticks.
     pub chains_stepped: u64,
-    /// Per-key chains grounded at query registration.
+    /// Per-key chains grounded at query registration (or instrumented
+    /// compilation).
     pub bindings_grounded: u64,
     /// Alerts emitted by ticks.
     pub alerts_emitted: u64,

@@ -1,7 +1,7 @@
 //! Engine edge cases: degenerate databases, empty streams, deterministic
 //! inputs, and boundary conditions around the horizon.
 
-use lahar_core::{CompileOptions, EngineError, Lahar, RegularEvaluator, Sampler, SamplerConfig};
+use lahar_core::{CompileOptions, EngineError, Lahar, Sampler, SamplerConfig};
 use lahar_model::{Database, StreamBuilder};
 use lahar_query::{parse_and_validate, NormalQuery};
 
@@ -27,11 +27,9 @@ fn query_over_empty_stream() {
     let series = Lahar::prob_series(&db, "At('joe', 'a')").unwrap();
     assert!(series.is_empty());
     // Stepping past the end yields all-bottom probabilities.
-    let q = parse_and_validate(db.catalog(), db.interner(), "At('joe', 'a')").unwrap();
-    let nq = NormalQuery::from_query(&q);
-    let mut eval = RegularEvaluator::new(&db, &nq).unwrap();
+    let mut eval = Lahar::compile_with(&db, "At('joe', 'a')", CompileOptions::new()).unwrap();
     for _ in 0..5 {
-        assert_eq!(eval.step(&db), 0.0);
+        assert_eq!(eval.step().unwrap(), 0.0);
     }
 }
 

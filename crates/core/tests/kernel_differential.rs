@@ -6,9 +6,9 @@
 //! across a mid-stream checkpoint/restore and across the sequential vs
 //! parallel tick paths.
 
-use lahar_core::{Checkpoint, ExtendedRegularEvaluator, RealTimeSession, SessionConfig, TickMode};
+use lahar_core::{Checkpoint, CompileOptions, Lahar, RealTimeSession, SessionConfig, TickMode};
 use lahar_model::{Database, Marginal, StreamBuilder};
-use lahar_query::{parse_query, NormalQuery};
+use lahar_query::parse_query;
 use proptest::prelude::*;
 
 const DOMAIN: [&str; 3] = ["a", "h", "c"];
@@ -319,14 +319,13 @@ proptest! {
     fn batch_kernel_matches_interpreter_and_oracle(s in batch_scenario()) {
         let db = batch_db(&s);
         let q = parse_query(db.interner(), QUERIES[s.query]).unwrap();
-        let nq = NormalQuery::from_query(&q);
         let horizon = db.horizon();
 
-        let kern = ExtendedRegularEvaluator::new(&db, &nq).unwrap()
-            .prob_series(&db, horizon);
-        let mut forced_eval = ExtendedRegularEvaluator::new(&db, &nq).unwrap();
+        let kern = Lahar::compile_with(&db, &q, CompileOptions::new()).unwrap()
+            .prob_series(horizon).unwrap();
+        let mut forced_eval = Lahar::compile_with(&db, &q, CompileOptions::new()).unwrap();
         forced_eval.force_interpreter(true);
-        let forced = forced_eval.prob_series(&db, horizon);
+        let forced = forced_eval.prob_series(horizon).unwrap();
         prop_assert_eq!(kern.len(), forced.len());
         for (t, (k, f)) in kern.iter().zip(&forced).enumerate() {
             prop_assert_eq!(k.to_bits(), f.to_bits(), "t={} kern={} forced={}", t, k, f);

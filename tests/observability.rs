@@ -12,7 +12,9 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 
-/// Serializes tests that touch the process-global tracer.
+/// Serializes tests that touch the process-global tracer, and tests
+/// that tick parallel sessions against the fail-point registry one of
+/// them arms (`worker_step` is checked by every parallel tick).
 fn lock_tracer() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -160,6 +162,7 @@ fn bucket_counts(text: &str, family: &str, label_fragment: &str) -> Vec<(String,
 #[test]
 fn live_endpoint_serves_per_query_prometheus_series() {
     const TICKS: usize = 6;
+    let _gate = lock_tracer();
     let session = live_session(TICKS, false);
     let addr = session.metrics_addr().expect("endpoint started");
 
@@ -443,6 +446,7 @@ fn chrome_trace_links_one_request_across_reader_and_worker_threads() {
 /// re-serves the same per-query counters from its endpoint.
 #[test]
 fn restored_session_reserves_per_query_metrics() {
+    let _gate = lock_tracer();
     let (db, builders) = schema_db();
     let mut session = live_session(5, false);
     let ckpt = session.checkpoint().unwrap();

@@ -156,8 +156,13 @@ fn evaluator_state_scaling() {
             .collect();
         db.add_stream(b.independent(ms).unwrap()).unwrap();
     }
-    let q = parse_and_validate(db.catalog(), db.interner(), "At(p,'a') ; At(p,'b')").unwrap();
-    let nq = NormalQuery::from_query(&q);
-    let eval = lahar::core::ExtendedRegularEvaluator::new(&db, &nq).unwrap();
-    assert_eq!(eval.n_chains(), 4, "one chain per key (Thm 3.7)");
+    let stats = lahar::EngineStats::new();
+    let options = CompileOptions::new().instrument(&stats);
+    let compiled = Lahar::compile_with(&db, "At(p,'a') ; At(p,'b')", options).unwrap();
+    assert_eq!(compiled.algorithm(), Algorithm::ExtendedRegular);
+    assert_eq!(
+        stats.snapshot().bindings_grounded,
+        4,
+        "one chain per key (Thm 3.7)"
+    );
 }

@@ -2,9 +2,7 @@
 //! ([`CompiledQuery::step`], [`RealTimeSession::tick`]) must agree with
 //! their batch and sequential counterparts on every algorithm path.
 
-use lahar::core::ExtendedRegularEvaluator;
 use lahar::model::{Database, Marginal, StreamBuilder};
-use lahar::query::NormalQuery;
 use lahar::{CompileOptions, Lahar, RealTimeSession, SessionConfig, TickMode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -179,45 +177,6 @@ fn randomized_parallel_session_matches_sequential() {
         assert_eq!(snap.ticks, TICKS as u64);
         assert_eq!(snap.parallel_ticks, TICKS as u64);
         assert!(snap.chains_stepped >= (TICKS * PEOPLE.len()) as u64);
-    }
-}
-
-/// The evaluator-level parallel series must also match on Markov
-/// (correlated) streams, where chain stepping exercises the CPT path.
-#[test]
-fn parallel_series_matches_sequential_on_markov_streams() {
-    let mut db = Database::new();
-    db.declare_stream("At", &["person"], &["loc"]).unwrap();
-    let i = db.interner().clone();
-    let mut rng = SmallRng::seed_from_u64(42);
-    for p in ["p0", "p1", "p2", "p3", "p4"] {
-        let b = StreamBuilder::new(&i, "At", &[p], &["a", "c"]);
-        let init = b
-            .marginal(&[("a", 0.3 + 0.4 * rng.gen::<f64>()), ("c", 0.1)])
-            .unwrap();
-        let stay = 0.2 + 0.6 * rng.gen::<f64>();
-        let cpt = b
-            .cpt(&[("a", "a", stay), ("a", "c", 0.9 - stay), ("c", "c", 0.7)])
-            .unwrap();
-        db.add_stream(b.markov(init, vec![cpt.clone(), cpt.clone(), cpt]).unwrap())
-            .unwrap();
-    }
-    let q = lahar::query::parse_query(db.interner(), "At(p,'a') ; At(p,'c')").unwrap();
-    let nq = NormalQuery::from_query(&q);
-    let sequential = ExtendedRegularEvaluator::new(&db, &nq)
-        .unwrap()
-        .prob_series(&db, db.horizon());
-    for n_threads in [1, 2, 4, 7] {
-        let parallel = ExtendedRegularEvaluator::new(&db, &nq)
-            .unwrap()
-            .prob_series_parallel(&db, db.horizon(), n_threads)
-            .unwrap();
-        for (t, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
-            assert!(
-                (s - p).abs() < 1e-12,
-                "{n_threads} threads, t={t}: {s} vs {p}"
-            );
-        }
     }
 }
 
