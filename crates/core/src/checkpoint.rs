@@ -3,19 +3,22 @@
 //! The real-time path is an `O(1)`-space forward computation per chain
 //! (§3 of the paper), so the *complete* session state — per-chain
 //! forward distributions and automaton cursors, registered queries,
-//! staged marginals, the recorded marginal history, the timestep, and
-//! stats — is small and cheap to capture. A [`Checkpoint`] is that
-//! capture; [`Checkpoint::to_json`] / [`Checkpoint::from_json`] move it
-//! through a versioned, hand-rolled JSON document (the repo convention —
-//! no serde), with every float in shortest round-trip form so a restore
-//! is **bit-identical**: a session rebuilt with
+//! staged marginals, the recorded marginal history (none once a served
+//! session has retired it), the timestep, and stats — is small and
+//! cheap to capture; a served session's checkpoint also carries each
+//! query's answer series, cut to the checkpoint clock. A [`Checkpoint`]
+//! is that capture; [`Checkpoint::to_json`] / [`Checkpoint::from_json`]
+//! move it through a versioned, hand-rolled JSON document (the repo
+//! convention — no serde), with every float in shortest round-trip
+//! form so a restore is **bit-identical**: a session rebuilt with
 //! [`crate::RealTimeSession::restore`] produces exactly the alerts the
 //! original would have for the same future ticks.
 //!
 //! Checkpoints also anchor in-place recovery: the session keeps its
-//! latest checkpoint plus a bounded replay log of marginals appended
-//! since, and [`crate::RealTimeSession::recover`] rebuilds shards lost
-//! to a fault from those instead of from the full history.
+//! latest checkpoint (or, once a served session retires its history, a
+//! newer in-memory base of chain states) plus a bounded replay log of
+//! tick frames since, and [`crate::RealTimeSession::recover`] rebuilds
+//! shards lost to a fault from those instead of from the full history.
 
 use crate::chain::ChainState;
 use crate::error::EngineError;
@@ -35,8 +38,15 @@ use std::time::Duration;
 /// `max_epoch_ticks`, stats gained the epoch counters
 /// (`epochs`/`epoch_ticks`); 6 — config gained `durability`, and
 /// persisted checkpoints are wrapped in the CRC-carrying envelope
-/// ([`Checkpoint::to_envelope`]) (this build).
-pub const CHECKPOINT_VERSION: u32 = 6;
+/// ([`Checkpoint::to_envelope`]); 7 — config dropped `serve_addr`, the
+/// document records whether the session `retired` its marginal history
+/// (a retired session's has no `history`), and a served session's
+/// checkpoint carries each query's `series` (this build, which also
+/// reads version 6).
+pub const CHECKPOINT_VERSION: u32 = 7;
+
+/// The oldest checkpoint format version this build still reads.
+pub(crate) const OLDEST_READABLE_VERSION: u32 = 6;
 
 /// Document-type marker embedded in every checkpoint.
 const FORMAT: &str = "lahar-checkpoint";
@@ -78,7 +88,12 @@ pub struct Checkpoint {
     pub(crate) chains: Vec<ChainState>,
     /// `history[stream][tick][outcome]` — the full recorded marginal
     /// history, so a cold restore rebuilds an identical database.
-    pub(crate) history: Vec<Vec<Vec<f64>>>,
+    /// `None` when the session had retired it.
+    pub(crate) history: Option<Vec<Vec<Vec<f64>>>>,
+    /// `series[query][tick]` — a served session's answers for ticks
+    /// `0..t`, which a restore extends through the write-ahead tail.
+    /// `None` for a standalone session's checkpoint.
+    pub(crate) series: Option<Vec<Vec<f64>>>,
     pub(crate) stats: StatsState,
 }
 
@@ -160,27 +175,47 @@ impl Checkpoint {
             }
             out.push_str("]}");
         }
-        out.push_str("],\"history\":[");
-        for (i, stream) in self.history.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, tick) in stream.iter().enumerate() {
-                if j > 0 {
+        out.push_str(&format!("],\"retired\":{}", self.history.is_none()));
+        if let Some(history) = &self.history {
+            out.push_str(",\"history\":[");
+            for (i, stream) in history.iter().enumerate() {
+                if i > 0 {
                     out.push(',');
                 }
-                push_f64_array(&mut out, tick);
+                out.push('[');
+                for (j, tick) in stream.iter().enumerate() {
+                    if j > 0 {
+                        out.push(',');
+                    }
+                    push_f64_array(&mut out, tick);
+                }
+                out.push(']');
             }
             out.push(']');
         }
-        out.push_str("],\"stats\":");
+        out.push_str(",\"series\":");
+        match &self.series {
+            None => out.push_str("null"),
+            Some(series) => {
+                out.push('[');
+                for (i, answers) in series.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    push_f64_array(&mut out, answers);
+                }
+                out.push(']');
+            }
+        }
+        out.push_str(",\"stats\":");
         push_stats(&mut out, &self.stats);
         out.push('}');
         out
     }
 
-    /// Parses a checkpoint produced by [`Checkpoint::to_json`]. Any
+    /// Parses a checkpoint produced by [`Checkpoint::to_json`] of this
+    /// build or of a version-6 build (whose config still names a
+    /// `serve_addr`, ignored here, and which carries no series). Any
     /// structural problem — wrong document type, unsupported version,
     /// missing or mistyped fields — is reported as
     /// [`EngineError::CheckpointCorrupt`].
@@ -190,9 +225,10 @@ impl Checkpoint {
             return Err(corrupt("not a lahar-checkpoint document"));
         }
         let version = get_u64(&doc, "version")? as u32;
-        if version != CHECKPOINT_VERSION {
+        if !(OLDEST_READABLE_VERSION..=CHECKPOINT_VERSION).contains(&version) {
             return Err(EngineError::CheckpointCorrupt(format!(
-                "unsupported checkpoint version {version} (this build reads version {CHECKPOINT_VERSION})"
+                "unsupported checkpoint version {version} (this build reads versions \
+                 {OLDEST_READABLE_VERSION}-{CHECKPOINT_VERSION})"
             )));
         }
         let t = get_u64(&doc, "t")? as u32;
@@ -234,17 +270,39 @@ impl Checkpoint {
                 })
             })
             .collect::<Result<_, EngineError>>()?;
-        let history = get_array(&doc, "history")?
-            .iter()
-            .map(|stream| {
-                stream
-                    .as_array()
-                    .ok_or_else(|| corrupt("stream history is not an array"))?
+        // Version 6 predates retirement and series: it always carries
+        // the history and never a series.
+        let retired = version > 6 && get_bool(&doc, "retired")?;
+        let history = if retired {
+            None
+        } else {
+            Some(
+                get_array(&doc, "history")?
                     .iter()
-                    .map(|tick| f64_array(tick, "history marginal"))
-                    .collect::<Result<_, _>>()
-            })
-            .collect::<Result<_, EngineError>>()?;
+                    .map(|stream| {
+                        stream
+                            .as_array()
+                            .ok_or_else(|| corrupt("stream history is not an array"))?
+                            .iter()
+                            .map(|tick| f64_array(tick, "history marginal"))
+                            .collect::<Result<_, _>>()
+                    })
+                    .collect::<Result<_, EngineError>>()?,
+            )
+        };
+        let series = match doc.get("series") {
+            None if version == 6 => None,
+            None => return Err(corrupt("missing field 'series'")),
+            Some(JsonValue::Null) => None,
+            Some(series) => Some(
+                series
+                    .as_array()
+                    .ok_or_else(|| corrupt("field 'series' is not an array"))?
+                    .iter()
+                    .map(|answers| f64_array(answers, "query series"))
+                    .collect::<Result<_, _>>()?,
+            ),
+        };
         let stats = parse_stats(get(&doc, "stats")?)?;
         Ok(Self {
             version,
@@ -254,6 +312,7 @@ impl Checkpoint {
             queries,
             chains,
             history,
+            series,
             stats,
         })
     }
@@ -498,11 +557,6 @@ fn push_config(out: &mut String, c: &SessionConfig) {
         None => out.push_str("null"),
         Some(addr) => json::push_string(out, &addr.to_string()),
     }
-    out.push_str(",\"serve_addr\":");
-    match c.serve_addr {
-        None => out.push_str("null"),
-        Some(addr) => json::push_string(out, &addr.to_string()),
-    }
     out.push_str(",\"durability\":");
     json::push_string(out, c.durability.as_str());
     out.push_str(&format!(",\"trace\":{}}}", c.trace));
@@ -537,16 +591,6 @@ fn parse_config(v: &JsonValue) -> Result<SessionConfig, EngineError> {
                 .map_err(|_| corrupt("metrics_addr is not a socket address"))?,
         ),
     };
-    let serve_addr = match get(v, "serve_addr")? {
-        JsonValue::Null => None,
-        other => Some(
-            other
-                .as_str()
-                .ok_or_else(|| corrupt("serve_addr is not a string"))?
-                .parse()
-                .map_err(|_| corrupt("serve_addr is not a socket address"))?,
-        ),
-    };
     let durability = get_str(v, "durability")?;
     let durability = crate::wal::Durability::parse(&durability).ok_or_else(|| {
         EngineError::CheckpointCorrupt(format!("unknown durability level '{durability}'"))
@@ -559,7 +603,6 @@ fn parse_config(v: &JsonValue) -> Result<SessionConfig, EngineError> {
         checkpoint_interval: get_u64(v, "checkpoint_interval")? as usize,
         tick_deadline,
         metrics_addr,
-        serve_addr,
         durability,
         trace: get_bool(v, "trace")?,
     })
@@ -797,7 +840,6 @@ mod tests {
                 checkpoint_interval: 8,
                 tick_deadline: Some(Duration::from_millis(250)),
                 metrics_addr: Some("127.0.0.1:9633".parse().unwrap()),
-                serve_addr: Some("127.0.0.1:9634".parse().unwrap()),
                 durability: crate::wal::Durability::Batch,
                 trace: true,
             },
@@ -813,14 +855,15 @@ mod tests {
                 dist: vec![0.1 + 0.2, 1.0 / 3.0, 5e-324],
                 dfa_sets: vec![vec![0], vec![1, 2]],
             }],
-            history: vec![
+            history: Some(vec![
                 vec![
                     vec![0.5, 0.5, 0.0],
                     vec![0.0, 0.0, 1.0],
                     vec![0.25, 0.25, 0.5],
                 ],
                 vec![vec![1.0, 0.0, 0.0]; 3],
-            ],
+            ]),
+            series: Some(vec![vec![0.0, 0.1 + 0.2, 1.0 / 3.0]]),
             stats: StatsState {
                 ticks: 3,
                 epochs: 2,
@@ -883,6 +926,44 @@ mod tests {
         }
         // Stable serialization: same document on re-encode.
         assert_eq!(parsed.to_json(), doc);
+    }
+
+    /// A retired session's checkpoint records that it is retired and
+    /// carries no history; a standalone session's carries no series.
+    #[test]
+    fn retired_and_series_free_checkpoints_round_trip() {
+        let mut ckpt = sample();
+        ckpt.history = None;
+        let doc = ckpt.to_json();
+        assert!(doc.contains("\"retired\":true") && !doc.contains("\"history\""));
+        assert_eq!(Checkpoint::from_json(&doc).unwrap(), ckpt);
+        ckpt.series = None;
+        let doc = ckpt.to_json();
+        assert!(doc.contains("\"series\":null"));
+        assert_eq!(Checkpoint::from_json(&doc).unwrap(), ckpt);
+        // Version 7 requires the series field (null or an array).
+        let without = doc.replace(",\"series\":null", "");
+        assert!(Checkpoint::from_json(&without).is_err());
+    }
+
+    /// A version-6 document — config naming a `serve_addr`, no
+    /// `retired` flag, no series — still parses; the address is
+    /// ignored.
+    #[test]
+    fn version_six_documents_still_parse() {
+        let mut ckpt = sample();
+        ckpt.version = 6;
+        ckpt.series = None;
+        let doc = ckpt
+            .to_json()
+            .replace(
+                ",\"durability\":",
+                ",\"serve_addr\":\"127.0.0.1:9634\",\"durability\":",
+            )
+            .replace("\"retired\":false,", "")
+            .replace(",\"series\":null", "");
+        assert!(doc.contains("serve_addr") && !doc.contains("retired"));
+        assert_eq!(Checkpoint::from_json(&doc).unwrap(), ckpt);
     }
 
     /// Checkpoints written before the batched-kernel counters existed

@@ -76,6 +76,16 @@ pub enum EngineError {
     /// I/O layer; the triggering mutation was applied in memory but is
     /// **not** durable, so the server refuses to acknowledge it.
     DurabilityIo(String),
+    /// A query was registered after the session stopped recording
+    /// marginal history (a served session keeps it only for its first
+    /// `history_ticks` ticks — see
+    /// [`crate::ServerConfig::history_ticks`]): its answers for the
+    /// closed ticks can no longer be computed exactly, so the
+    /// registration is refused rather than backfilled approximately.
+    HistoryRetired {
+        /// The session clock at the refused registration.
+        t: u32,
+    },
     /// The server answered a client request with an error response.
     Remote {
         /// Machine-readable error code from the server.
@@ -154,6 +164,11 @@ impl fmt::Display for EngineError {
                     "durability write failed (mutation not acknowledged): {msg}"
                 )
             }
+            EngineError::HistoryRetired { t } => write!(
+                f,
+                "the session is at t={t} and no longer records marginal history, so a \
+                 query registered now cannot be answered for the closed ticks"
+            ),
             EngineError::Remote { code, message } => {
                 write!(f, "server error [{code}]: {message}")
             }

@@ -241,6 +241,10 @@ pub enum WireCode {
     Poisoned,
     /// The server is shutting down and no longer accepts work.
     ShuttingDown,
+    /// `register` arrived after the session stopped recording marginal
+    /// history; the query was **not** registered (its answers for the
+    /// closed ticks cannot be computed exactly any more).
+    HistoryRetired,
     /// A code this build does not know (forward compatibility: newer
     /// servers may answer codes older clients have no variant for).
     Other(String),
@@ -260,6 +264,7 @@ impl WireCode {
             WireCode::Engine => "engine",
             WireCode::Poisoned => "poisoned",
             WireCode::ShuttingDown => "shutting_down",
+            WireCode::HistoryRetired => "history_retired",
             WireCode::Other(s) => s,
         }
     }
@@ -279,6 +284,7 @@ impl WireCode {
             "engine" => WireCode::Engine,
             "poisoned" => WireCode::Poisoned,
             "shutting_down" => WireCode::ShuttingDown,
+            "history_retired" => WireCode::HistoryRetired,
             other => WireCode::Other(other.to_owned()),
         }
     }
@@ -1070,6 +1076,7 @@ mod tests {
             (WireCode::Engine, "engine"),
             (WireCode::Poisoned, "poisoned"),
             (WireCode::ShuttingDown, "shutting_down"),
+            (WireCode::HistoryRetired, "history_retired"),
         ];
         for (code, wire) in known {
             assert_eq!(code.as_str(), wire);

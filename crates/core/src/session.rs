@@ -64,8 +64,8 @@
 //! assert!((alerts[0].probability - 0.54).abs() < 1e-9);
 //! ```
 
-use crate::chain::{ChainEvaluator, TickFrame};
-use crate::checkpoint::{Checkpoint, QueryMeta, CHECKPOINT_VERSION};
+use crate::chain::{ChainEvaluator, ChainState, TickFrame};
+use crate::checkpoint::{Checkpoint, QueryMeta, CHECKPOINT_VERSION, OLDEST_READABLE_VERSION};
 use crate::error::{panic_message, EngineError};
 use crate::kernel::{KernelTickStats, SymCache};
 use crate::stats::EngineStats;
@@ -169,12 +169,6 @@ pub struct SessionConfig {
     /// convenience for [`crate::trace::enable`]; spans export via
     /// [`crate::trace::chrome_trace_json`] or the `/trace` endpoint.
     pub trace: bool,
-    /// Address the serving layer (`lahar serve`, see
-    /// [`crate::LaharServer`]) listens on when this configuration is
-    /// used as a server's per-session template. A standalone
-    /// [`RealTimeSession`] ignores it. `None` (the default) means "not
-    /// served".
-    pub serve_addr: Option<SocketAddr>,
     /// Write-ahead-log fsync policy for served sessions (see
     /// [`crate::Durability`]): what an acknowledged `stage`/`tick`
     /// batch is guaranteed to survive. Applied by [`crate::LaharServer`]
@@ -196,7 +190,6 @@ impl Default for SessionConfig {
             tick_deadline: None,
             metrics_addr: None,
             trace: false,
-            serve_addr: None,
             durability: crate::wal::Durability::None,
         }
     }
@@ -230,8 +223,8 @@ impl SessionConfig {
 ///   sentinel, which you get by not calling the setter;
 /// * an explicit `n_workers(0)` — `0` is the "one per core" sentinel,
 ///   which you get by not calling the setter;
-/// * a metrics address equal to the serve address — the scrape endpoint
-///   and the ingestion service cannot share one socket.
+/// * an explicit `max_epoch_ticks(0)` — an epoch covers at least one
+///   tick.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionConfigBuilder {
     tick_mode: Option<TickMode>,
@@ -242,7 +235,6 @@ pub struct SessionConfigBuilder {
     tick_deadline: Option<Duration>,
     metrics_addr: Option<SocketAddr>,
     trace: Option<bool>,
-    serve_addr: Option<SocketAddr>,
     durability: Option<crate::wal::Durability>,
 }
 
@@ -298,12 +290,6 @@ impl SessionConfigBuilder {
         self
     }
 
-    /// Sets [`SessionConfig::serve_addr`].
-    pub fn serve_addr(mut self, addr: SocketAddr) -> Self {
-        self.serve_addr = Some(addr);
-        self
-    }
-
     /// Sets [`SessionConfig::durability`].
     pub fn durability(mut self, level: crate::wal::Durability) -> Self {
         self.durability = Some(level);
@@ -333,15 +319,6 @@ impl SessionConfigBuilder {
                     .to_owned(),
             ));
         }
-        if let (Some(metrics), Some(serve)) = (self.metrics_addr, self.serve_addr) {
-            if metrics == serve {
-                return Err(EngineError::InvalidConfig(format!(
-                    "metrics_addr and serve_addr both bind {metrics}; the \
-                     scrape endpoint and the ingestion service need distinct \
-                     sockets"
-                )));
-            }
-        }
         let defaults = SessionConfig::default();
         Ok(SessionConfig {
             tick_mode: self.tick_mode.unwrap_or(defaults.tick_mode),
@@ -356,7 +333,6 @@ impl SessionConfigBuilder {
             tick_deadline: self.tick_deadline,
             metrics_addr: self.metrics_addr,
             trace: self.trace.unwrap_or(defaults.trace),
-            serve_addr: self.serve_addr,
             durability: self.durability.unwrap_or(defaults.durability),
         })
     }
@@ -375,6 +351,12 @@ struct Registered {
     first_chain: usize,
     n_chains: usize,
 }
+
+/// How many ticks of marginal history a served session keeps by default
+/// (see [`crate::ServerConfig::history_ticks`]); also how often a
+/// retired session restored under an unbounded setting re-takes its
+/// recovery base.
+pub(crate) const DEFAULT_HISTORY_TICKS: u32 = 64;
 
 /// `(shard index, stepped shard + its epoch's kernel counters | fault)`.
 type Reply = (usize, Result<(ChainSet, KernelTickStats), EngineError>);
@@ -465,16 +447,32 @@ pub struct RealTimeSession {
     /// The most recent checkpoint (manual or automatic); the fast
     /// restore base for [`RealTimeSession::recover`].
     last_checkpoint: Option<Checkpoint>,
-    /// Frames of every tick closed since `last_checkpoint`
+    /// Frames of every tick closed since the recovery base
     /// (`replay_log[i]` belongs to tick `replay_base + i`, including the
     /// currently failed tick when poisoned). Truncated at each
-    /// checkpoint, so auto-checkpointing bounds it to
-    /// [`SessionConfig::checkpoint_interval`] entries. Only maintained
-    /// once a checkpoint exists: before that, recovery replays from the
-    /// database's recorded history instead.
+    /// checkpoint and base re-take, so auto-checkpointing bounds it to
+    /// [`SessionConfig::checkpoint_interval`] entries and a retired
+    /// history to one window. Only maintained once a base exists:
+    /// before that, recovery replays from the database's recorded
+    /// history instead.
     replay_log: Vec<Arc<TickFrame>>,
-    /// Tick index of `replay_log[0]`.
+    /// Tick index of `replay_log[0]`: where the recovery base stands.
     replay_base: u32,
+    /// Chain states at `replay_base` (global chain order) when they are
+    /// newer than `last_checkpoint`: the in-memory recovery base a
+    /// session with bounded history re-takes (never persisted). `None`
+    /// means the last checkpoint, if any, is the base.
+    base: Option<Vec<ChainState>>,
+    /// Record marginal history only for the first this many ticks, then
+    /// retire it — set by the serving layer
+    /// ([`crate::ServerConfig::history_ticks`]). `None`, the standalone
+    /// default, records all of it.
+    history_ticks: Option<u32>,
+    /// The marginal history is gone: registration is refused
+    /// ([`EngineError::HistoryRetired`]) and recovery restarts lost
+    /// chains from the recovery base, whose replay log covers every
+    /// tick since.
+    retired: bool,
     stats: EngineStats,
     /// Live scrape endpoint, running while the session exists (see
     /// [`SessionConfig::metrics_addr`]). Holds a clone of `stats`, which
@@ -532,6 +530,9 @@ impl RealTimeSession {
             last_checkpoint: None,
             replay_log: Vec::new(),
             replay_base: 0,
+            base: None,
+            history_ticks: None,
+            retired: false,
             stats,
             metrics_server,
             sym_cache: SymCache::new(),
@@ -546,7 +547,8 @@ impl RealTimeSession {
         self.t
     }
 
-    /// Read access to the underlying database.
+    /// Read access to the underlying database. A served session whose
+    /// marginal history was retired records no marginals any more.
     pub fn database(&self) -> &Database {
         &self.db
     }
@@ -630,7 +632,9 @@ impl RealTimeSession {
     /// Registers a textual query; it must be in one of the streaming
     /// classes (regular or extended regular). Queries registered after
     /// ticks have closed are fast-forwarded through the recorded history
-    /// so their answers stay aligned with the session clock.
+    /// so their answers stay aligned with the session clock; once that
+    /// history is retired (served sessions only) registration fails with
+    /// [`EngineError::HistoryRetired`].
     pub fn register(&mut self, name: &str, src: &str) -> Result<QueryId, EngineError> {
         self.register_with_series(name, src).map(|(id, _)| id)
     }
@@ -664,6 +668,9 @@ impl RealTimeSession {
         q: &Query,
         source: Option<String>,
     ) -> Result<(QueryId, Vec<f64>), EngineError> {
+        if self.retired {
+            return Err(EngineError::HistoryRetired { t: self.t });
+        }
         let (kind, chains) = compile_chains(&self.db, q)?;
         let query_index = self.queries.len();
         let n_chains = chains.len();
@@ -835,7 +842,9 @@ impl RealTimeSession {
     ///
     /// Auto-checkpoint cadence is preserved exactly: epochs are split at
     /// [`SessionConfig::checkpoint_interval`] boundaries so snapshots
-    /// land on the same ticks they would have under per-tick stepping.
+    /// land on the same ticks they would have under per-tick stepping
+    /// (and, in a served session with bounded history, at the ticks
+    /// where it retires its history or re-takes its recovery base).
     pub fn tick_epoch(
         &mut self,
         ticks: Vec<Vec<(StreamId, Marginal)>>,
@@ -862,17 +871,146 @@ impl RealTimeSession {
 
     /// How many of `remaining` queued ticks the next epoch covers: at
     /// most [`SessionConfig::max_epoch_ticks`], never crossing a
-    /// [`SessionConfig::checkpoint_interval`] boundary. Exposed so the
-    /// serving layer can feed [`RealTimeSession::tick_epoch`] exactly
-    /// one epoch at a time (its per-query alert series then stays exact
-    /// even when an epoch faults and recovery re-completes it).
+    /// [`SessionConfig::checkpoint_interval`] boundary or a recovery
+    /// base re-take. Exposed so the serving layer can feed
+    /// [`RealTimeSession::tick_epoch`] exactly one epoch at a time (its
+    /// per-query alert series then stays exact even when an epoch faults
+    /// and recovery re-completes it).
     pub(crate) fn epoch_chunk_len(&self, remaining: usize) -> usize {
         let mut chunk_len = remaining.min(self.config.max_epoch_ticks.max(1));
         let interval = self.config.checkpoint_interval;
         if interval > 0 {
             chunk_len = chunk_len.min(interval - (self.t as usize % interval));
         }
+        if let Some(left) = self.ticks_to_base() {
+            // A base due now is re-taken as the epoch starts, opening a
+            // whole window.
+            let left = match left {
+                0 => self.base_window().unwrap_or(1),
+                left => left,
+            };
+            chunk_len = chunk_len.min(left.max(1) as usize);
+        }
         chunk_len
+    }
+
+    /// How often the recovery base is re-taken, in ticks: the history
+    /// window of a session with bounded history; `None` for one that
+    /// keeps its whole history.
+    fn base_window(&self) -> Option<u32> {
+        match (self.history_ticks, self.retired) {
+            (Some(n), _) => Some(n),
+            (None, true) => Some(DEFAULT_HISTORY_TICKS),
+            (None, false) => None,
+        }
+    }
+
+    /// How many more ticks may close before the recovery base must be
+    /// re-taken — retiring the history the first time. `Some(0)`: before
+    /// the next tick.
+    fn ticks_to_base(&self) -> Option<u32> {
+        let window = self.base_window()?;
+        let since = if self.retired {
+            self.t.saturating_sub(self.replay_base)
+        } else {
+            self.t
+        };
+        Some(window.saturating_sub(since))
+    }
+
+    /// Re-takes the recovery base: the chains' states now, with the
+    /// replay log's frames handed back to `spare_frames`, so the log
+    /// never holds more than one window. The first re-take retires the
+    /// marginal history (from the database, and from a checkpoint held
+    /// for its chain states).
+    fn retake_base(&mut self) -> Result<(), EngineError> {
+        let base = self.export_chains()?;
+        if !self.retired {
+            self.retired = true;
+            self.db.clear_marginals();
+            if let Some(ckpt) = &mut self.last_checkpoint {
+                ckpt.history = None;
+            }
+        }
+        self.base = Some(base);
+        self.reset_replay_log();
+        Ok(())
+    }
+
+    /// Starts an empty replay log at the current tick; the old log's
+    /// frames serve later epochs.
+    fn reset_replay_log(&mut self) {
+        self.spare_frames.extend(
+            self.replay_log
+                .drain(..)
+                .filter_map(|frame| Arc::try_unwrap(frame).ok()),
+        );
+        self.replay_base = self.t;
+    }
+
+    /// Chain states at `replay_base`, where [`RealTimeSession::recover`]
+    /// restarts lost chains: the re-taken base, else the last
+    /// checkpoint's.
+    fn base_chains(&self) -> Option<&[ChainState]> {
+        self.base
+            .as_deref()
+            .or_else(|| self.last_checkpoint.as_ref().map(|c| c.chains.as_slice()))
+    }
+
+    /// Bounds the marginal history to the first `ticks` ticks (`None`
+    /// keeps all of it) — the serving layer's
+    /// [`crate::ServerConfig::history_ticks`]. A session already past
+    /// the window (restored from an older checkpoint) retires its
+    /// history now.
+    pub(crate) fn retain_history(&mut self, ticks: Option<u32>) -> Result<(), EngineError> {
+        self.history_ticks = ticks;
+        match ticks {
+            Some(n) if !self.retired && self.t > n => self.retake_base(),
+            _ => Ok(()),
+        }
+    }
+
+    /// Every registered query's answers for the closed ticks, stepped
+    /// again over the recorded history by the session's own chain-set
+    /// replay — for a restored checkpoint that carries no series.
+    pub(crate) fn series_from_history(&mut self) -> Result<Vec<Vec<f64>>, EngineError> {
+        let mut chains = Vec::with_capacity(self.total_chains);
+        let mut shapes = Vec::with_capacity(self.queries.len());
+        for (qi, reg) in self.queries.iter().enumerate() {
+            let source = reg.source.as_ref().ok_or_else(|| {
+                EngineError::CheckpointUnsupported(format!(
+                    "query '{}' was registered from an AST without source text",
+                    reg.name
+                ))
+            })?;
+            let q = parse_and_validate(self.db.catalog(), self.db.interner(), source)?;
+            let (_, compiled) = compile_chains(&self.db, &q)?;
+            chains.extend(compiled.into_iter().map(|c| (qi, c)));
+            shapes.push((reg.kind, reg.first_chain..reg.first_chain + reg.n_chains));
+        }
+        let mut set = ChainSet::new(0, chains);
+        let mut series = vec![Vec::with_capacity(self.t as usize); shapes.len()];
+        self.replay(&mut set, 0, self.t, |_, probs| {
+            for ((kind, range), out) in shapes.iter().zip(&mut series) {
+                out.push(kind.combine(&probs[range.clone()]));
+            }
+        })?;
+        Ok(series)
+    }
+
+    /// Every chain's forward state, in global chain order.
+    fn export_chains(&self) -> Result<Vec<ChainState>, EngineError> {
+        let mut chains = vec![None; self.total_chains];
+        for slot in &self.shards {
+            let shard = slot.as_ref().expect("all shards home between ticks");
+            for (offset, (_, chain)) in shard.chains.iter().enumerate() {
+                chains[shard.start + offset] = Some(chain.export_state()?);
+            }
+        }
+        Ok(chains
+            .into_iter()
+            .map(|c| c.expect("shards cover every chain"))
+            .collect())
     }
 
     /// Closes one epoch of `ticks.len()` ≥ 1 ticks under a single join.
@@ -895,6 +1033,9 @@ impl RealTimeSession {
                 self.check_stageable(*stream, marginal)?;
             }
         }
+        if self.ticks_to_base() == Some(0) {
+            self.retake_base()?;
+        }
         let mut epoch: Vec<Arc<TickFrame>> = Vec::with_capacity(k);
         for batch in ticks {
             self.stats.record_staged(batch.len() as u64);
@@ -914,10 +1055,12 @@ impl RealTimeSession {
             // Moved, not cloned: the frame already holds the numbers.
             for idx in 0..self.staged.len() {
                 let marginal = self.staged[idx].take().expect("every stream staged above");
-                self.db.push_marginal_at(idx, marginal)?;
+                if !self.retired {
+                    self.db.push_marginal_at(idx, marginal)?;
+                }
             }
             let frame = Arc::new(frame);
-            if self.last_checkpoint.is_some() {
+            if self.base_chains().is_some() {
                 // Appended before stepping so the marginals of an epoch
                 // that faults mid-step are already available to
                 // recover().
@@ -1130,8 +1273,8 @@ impl RealTimeSession {
 
     /// Snapshots the complete session — per-chain forward distributions
     /// and automaton cursors, registered queries, staged marginals, the
-    /// recorded marginal history, the timestep, and stats — into a
-    /// versioned [`Checkpoint`] (serializable via
+    /// recorded marginal history (unless retired), the timestep, and
+    /// stats — into a versioned [`Checkpoint`] (serializable via
     /// [`Checkpoint::to_json`]). Also resets the recovery replay log, so
     /// future [`RealTimeSession::recover`] calls restart from this
     /// snapshot. Requires every query to have been registered from
@@ -1159,34 +1302,25 @@ impl RealTimeSession {
                 })
             })
             .collect::<Result<Vec<_>, EngineError>>()?;
-        let mut chains = vec![None; self.total_chains];
-        for slot in &self.shards {
-            let shard = slot.as_ref().expect("all shards home between ticks");
-            for (offset, (_, chain)) in shard.chains.iter().enumerate() {
-                chains[shard.start + offset] = Some(chain.export_state()?);
-            }
-        }
-        let chains = chains
-            .into_iter()
-            .map(|c| c.expect("shards cover every chain"))
-            .collect();
+        let chains = self.export_chains()?;
         let staged = self
             .staged
             .iter()
             .map(|s| s.as_ref().map(|m| m.probs().to_vec()))
             .collect();
-        let history = self
-            .db
-            .streams()
-            .iter()
-            .map(|s| {
-                s.marginals()
-                    .expect("session streams are independent")
-                    .iter()
-                    .map(|m| m.probs().to_vec())
-                    .collect()
-            })
-            .collect();
+        let history = (!self.retired).then(|| {
+            self.db
+                .streams()
+                .iter()
+                .map(|s| {
+                    s.marginals()
+                        .expect("session streams are independent")
+                        .iter()
+                        .map(|m| m.probs().to_vec())
+                        .collect()
+                })
+                .collect()
+        });
         self.stats.record_checkpoint();
         let ckpt = Checkpoint {
             version: CHECKPOINT_VERSION,
@@ -1196,11 +1330,12 @@ impl RealTimeSession {
             queries,
             chains,
             history,
+            series: None,
             stats: self.stats.export_state(),
         };
         self.last_checkpoint = Some(ckpt.clone());
-        self.replay_log.clear();
-        self.replay_base = self.t;
+        self.base = None;
+        self.reset_replay_log();
         Ok(ckpt)
     }
 
@@ -1208,9 +1343,10 @@ impl RealTimeSession {
     /// with the same schema (declared streams, relations, catalog) as
     /// the checkpointed one, using the checkpointed [`SessionConfig`].
     /// The restored session is bit-identical to the original at the
-    /// checkpoint: the same marginal history, chain states, staged
-    /// marginals, clock, and stats, producing the same alerts for the
-    /// same future ticks.
+    /// checkpoint: the same marginal history (none, if the checkpointed
+    /// session had retired it), chain states, staged marginals, clock,
+    /// and stats, producing the same alerts for the same future ticks.
+    /// Checkpoints of format version 6 and later restore.
     pub fn restore(db: Database, ckpt: &Checkpoint) -> Result<Self, EngineError> {
         Self::restore_with_config(db, ckpt, ckpt.config)
     }
@@ -1223,22 +1359,26 @@ impl RealTimeSession {
         ckpt: &Checkpoint,
         config: SessionConfig,
     ) -> Result<Self, EngineError> {
-        if ckpt.version != CHECKPOINT_VERSION {
+        if !(OLDEST_READABLE_VERSION..=CHECKPOINT_VERSION).contains(&ckpt.version) {
             return Err(EngineError::CheckpointCorrupt(format!(
-                "unsupported checkpoint version {} (this build reads version {})",
-                ckpt.version, CHECKPOINT_VERSION
+                "unsupported checkpoint version {} (this build reads versions \
+                 {OLDEST_READABLE_VERSION}-{CHECKPOINT_VERSION})",
+                ckpt.version
             )));
         }
         let mut session = Self::with_config(db, config)?;
         let n_streams = session.db.streams().len();
-        if ckpt.history.len() != n_streams || ckpt.staged.len() != n_streams {
+        let history = ckpt.history.as_deref().unwrap_or(&[]);
+        if ckpt.staged.len() != n_streams || (ckpt.history.is_some() && history.len() != n_streams)
+        {
             return Err(EngineError::CheckpointCorrupt(format!(
                 "checkpoint covers {} streams but the database declares {}",
-                ckpt.history.len(),
+                ckpt.staged.len(),
                 n_streams
             )));
         }
-        for (si, hist) in ckpt.history.iter().enumerate() {
+        session.retired = ckpt.history.is_none();
+        for (si, hist) in history.iter().enumerate() {
             if hist.len() != ckpt.t as usize {
                 return Err(EngineError::CheckpointCorrupt(format!(
                     "stream {si} records {} ticks but the checkpoint clock is {}",
@@ -1253,9 +1393,9 @@ impl RealTimeSession {
                 EngineError::CheckpointCorrupt(format!("stream {si} marginal invalid: {e}"))
             })
         };
-        for t in 0..ckpt.t as usize {
-            for si in 0..n_streams {
-                let m = rebuild_marginal(&session, si, &ckpt.history[si][t])?;
+        for t in 0..history.first().map_or(0, Vec::len) {
+            for (si, hist) in history.iter().enumerate() {
+                let m = rebuild_marginal(&session, si, &hist[t])?;
                 let id = session.db.streams()[si].id().clone();
                 session.db.push_marginal(&id, m)?;
             }
@@ -1325,7 +1465,11 @@ impl RealTimeSession {
         session.stats.load_state(&ckpt.stats);
         // Gauges describe the rebuilt chains, not the checkpointed ones.
         session.record_automata_stats();
-        session.last_checkpoint = Some(ckpt.clone());
+        // The serving layer keeps the series; the session keeps the rest
+        // as its recovery base.
+        let mut base = ckpt.clone();
+        base.series = None;
+        session.last_checkpoint = Some(base);
         session.replay_base = ckpt.t;
         Ok(session)
     }
@@ -1354,6 +1498,12 @@ impl RealTimeSession {
                 .and_then(|d| self.replay_log.get(d as usize));
             let frame: &TickFrame = match logged {
                 Some(frame) => frame,
+                None if self.retired => {
+                    return Err(EngineError::RecoveryFailed(format!(
+                        "tick {t} predates the recovery base and the marginal history \
+                         is retired"
+                    )))
+                }
                 None => history
                     .get_or_insert_with(|| HistoryFrames::new(&self.db, &set.chains))
                     .fill(&self.db, t),
@@ -1376,10 +1526,11 @@ impl RealTimeSession {
     ///
     /// Shards lost to the fault (a panicked worker's chains, or every
     /// chain after a sequential-path fault) are rebuilt structurally
-    /// from their queries' source text, fast-forwarded from the last
-    /// [`RealTimeSession::checkpoint`] plus the bounded replay log —
-    /// or from the database's full recorded history when no checkpoint
-    /// exists — and recombined with the surviving shards' answers. The
+    /// from their queries' source text, fast-forwarded from the recovery
+    /// base — the last [`RealTimeSession::checkpoint`], or the chain
+    /// states a served session re-takes once it retires its history —
+    /// plus the bounded replay log, or from the database's full recorded
+    /// history when no base exists — and recombined with the surviving shards' answers. The
     /// completed ticks' alerts, and all subsequent ticks', are
     /// bit-identical to a run that never faulted. After a
     /// [`EngineError::TickTimeout`] the session stays in degraded
@@ -1466,7 +1617,7 @@ impl RealTimeSession {
                 if slots[g].is_some() {
                     continue;
                 }
-                if let Some(state) = self.last_checkpoint.as_ref().and_then(|c| c.chains.get(g)) {
+                if let Some(state) = self.base_chains().and_then(|b| b.get(g)) {
                     chain.restore_state(state)?;
                 }
                 rebuilt.push((g, (qi, chain)));
@@ -1697,20 +1848,6 @@ mod tests {
             SessionConfig::builder().max_epoch_ticks(0).build(),
             Err(EngineError::InvalidConfig(_))
         ));
-        let addr: std::net::SocketAddr = "127.0.0.1:9633".parse().unwrap();
-        assert!(matches!(
-            SessionConfig::builder()
-                .metrics_addr(addr)
-                .serve_addr(addr)
-                .build(),
-            Err(EngineError::InvalidConfig(_))
-        ));
-        // Distinct ports are fine.
-        SessionConfig::builder()
-            .metrics_addr("127.0.0.1:9633".parse().unwrap())
-            .serve_addr("127.0.0.1:9634".parse().unwrap())
-            .build()
-            .unwrap();
     }
 
     /// Batched staging is equivalent to staging one at a time.
@@ -1972,6 +2109,93 @@ mod tests {
             faulty.recover().unwrap_err(),
             EngineError::RecoveryFailed(_)
         ));
+    }
+
+    /// A session bounded to a 3-tick history window answers every tick
+    /// bit-identically to one keeping its whole history: it retires the
+    /// history when tick 4 closes, holds at most one window of replay
+    /// frames, refuses late registration, recovers lost shards from its
+    /// in-memory base, and checkpoints and restores without history.
+    #[test]
+    fn retired_history_recovers_and_restores_bit_identically() {
+        let (db, joe, sue) = schema_db();
+        let mut bounded = RealTimeSession::new(db).unwrap();
+        bounded.retain_history(Some(3)).unwrap();
+        let (db2, _, _) = schema_db();
+        let mut full = RealTimeSession::new(db2).unwrap();
+        for s in [&mut bounded, &mut full] {
+            s.register("x", "At(p,'a') ; At(p,'c')").unwrap();
+            s.register("r", "At('joe','a') ; At('joe','c')").unwrap();
+        }
+        let vals = ["a", "h", "c"];
+        let tick_marginals = |t: usize| {
+            [
+                joe.marginal(&[(vals[t % 3], 0.6), (vals[(t + 1) % 3], 0.3)])
+                    .unwrap(),
+                sue.marginal(&[(vals[(t + 2) % 3], 0.5)]).unwrap(),
+            ]
+        };
+        let step = |s: &mut RealTimeSession, t: usize| -> Vec<u64> {
+            let batch: Vec<_> = tick_marginals(t)
+                .into_iter()
+                .enumerate()
+                .map(|(i, m)| (sid(s, i), m))
+                .collect();
+            s.stage_batch(batch).unwrap();
+            s.tick()
+                .unwrap()
+                .iter()
+                .map(|a| a.probability.to_bits())
+                .collect()
+        };
+        for t in 0..3 {
+            assert_eq!(step(&mut bounded, t), step(&mut full, t), "tick {t}");
+        }
+        // Within the window the history is still recorded.
+        assert!(!bounded.retired);
+        assert_eq!(bounded.database().streams()[0].len(), 3);
+        for t in 3..11 {
+            assert_eq!(step(&mut bounded, t), step(&mut full, t), "tick {t}");
+            assert!(bounded.replay_log.len() <= 3, "tick {t}");
+        }
+        assert!(bounded.retired);
+        assert!(bounded.database().streams().iter().all(|s| s.is_empty()));
+        assert_eq!(
+            bounded.register("late", "At(p,'c')").unwrap_err(),
+            EngineError::HistoryRetired { t: 11 }
+        );
+
+        // Fault injection by hand: tick 11's frame reaches the replay
+        // log, then every shard is lost before the clock advances.
+        let marginals = tick_marginals(11);
+        let mut frame = TickFrame::new(marginals.iter().map(|m| m.probs().len()).collect());
+        frame.fill(|s| marginals[s].probs());
+        bounded.replay_log.push(Arc::new(frame));
+        bounded.shards = (0..bounded.shards.len()).map(|_| None).collect();
+        bounded.poisoned = true;
+        let recovered: Vec<u64> = bounded
+            .recover()
+            .unwrap()
+            .iter()
+            .map(|a| a.probability.to_bits())
+            .collect();
+        assert_eq!(recovered, step(&mut full, 11));
+        for t in 12..14 {
+            assert_eq!(step(&mut bounded, t), step(&mut full, t), "tick {t}");
+        }
+
+        let ckpt = bounded.checkpoint().unwrap();
+        assert!(ckpt.history.is_none());
+        let (db3, _, _) = schema_db();
+        let mut restored = RealTimeSession::restore(db3, &ckpt).unwrap();
+        assert!(restored.retired);
+        assert!(matches!(
+            restored.register("late", "At(p,'c')"),
+            Err(EngineError::HistoryRetired { .. })
+        ));
+        for t in 14..18 {
+            assert_eq!(step(&mut restored, t), step(&mut full, t), "tick {t}");
+        }
     }
 
     #[test]

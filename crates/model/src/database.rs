@@ -188,6 +188,15 @@ impl Database {
         stream.push_marginal(marginal)
     }
 
+    /// Drops every independent stream's recorded marginals, keeping the
+    /// declared streams, relations and catalog — what a session whose
+    /// marginal history is bounded does once it stops recording.
+    pub fn clear_marginals(&mut self) {
+        for stream in &mut self.streams {
+            stream.clear_marginals();
+        }
+    }
+
     /// Looks up a stream by identity.
     pub fn stream(&self, id: &StreamKey) -> Option<&Stream> {
         self.by_id.get(id).map(|&i| &self.streams[i])

@@ -288,6 +288,14 @@ impl Stream {
         }
     }
 
+    /// Drops an independent stream's recorded marginals (Markov streams
+    /// are left as they are).
+    pub(crate) fn clear_marginals(&mut self) {
+        if let StreamData::Independent(ms) = &mut self.data {
+            *ms = Vec::new();
+        }
+    }
+
     /// Samples one trajectory (an outcome index per timestep) from the
     /// stream's distribution.
     pub fn sample_trajectory<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<usize> {

@@ -103,6 +103,28 @@ fi
 grep -q "restored" "$dep/ingest2.log" || { echo "restart did not restore the session" >&2; exit 1; }
 grep -q 'session="smoke"' "$dep/ingest2.log" || { echo "scrape missing session label" >&2; exit 1; }
 
+# The same stream against servers keeping only 2 ticks of history: the
+# shutdown checkpoint is retired (no history, series carried), and the
+# restart restores from it, still matching the offline query.
+start_serve "$dep/serve1r.log" --history-ticks 2
+./target/release/lahar ingest --manifest "$dep" --addr "$serve_addr" \
+    --session smoke-retired --ticks 5 --shutdown "$serve_query" >/dev/null 2>&1
+wait "$serve_pid"
+grep -q '"retired":true' "$dep/ckpt/smoke-retired-"*.ckpt.json \
+    || { echo "retired-history smoke: shutdown checkpoint still carries history" >&2; exit 1; }
+start_serve "$dep/serve2r.log" --history-ticks 2
+./target/release/lahar ingest --manifest "$dep" --addr "$serve_addr" \
+    --session smoke-retired --shutdown "$serve_query" \
+    >"$dep/served-retired.csv" 2>"$dep/ingest2r.log"
+wait "$serve_pid"
+if ! cmp -s "$dep/offline.csv" "$dep/served-retired.csv"; then
+    echo "retired-history smoke failed: served series != offline series" >&2
+    diff "$dep/offline.csv" "$dep/served-retired.csv" >&2 || true
+    exit 1
+fi
+grep -q "restored" "$dep/ingest2r.log" \
+    || { echo "retired-history restart did not restore the session" >&2; exit 1; }
+
 echo "==> request observability smoke (probe, phase metrics, slow log, trace)"
 # The trace lands where LAHAR_SMOKE_TRACE_OUT points (CI uploads it as an
 # artifact); default keeps it inside the scratch dir.

@@ -12,9 +12,12 @@
 #![cfg(feature = "failpoints")]
 
 use lahar::core::failpoint::{self, FailAction, Schedule};
+use lahar::core::protocol::WireMarginal;
 use lahar::core::EngineError;
 use lahar::model::{Database, Marginal, StreamBuilder};
-use lahar::{Lahar, RealTimeSession, SessionConfig, TickMode};
+use lahar::{
+    Lahar, LaharClient, LaharServer, RealTimeSession, ServerConfig, SessionConfig, TickMode,
+};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -450,4 +453,88 @@ fn sampler_failpoint_injects_structured_errors() {
     );
     failpoint::clear("sampler");
     assert!(Lahar::prob_series(&db, src).is_ok());
+}
+
+/// A served session bounded to a 2-tick history retires it on tick 3,
+/// then a `worker_step` (parallel path) or `sequential_step` fault —
+/// first on a one-tick frame, then in a two-tick epoch (a three-tick
+/// frame splits into epochs [5, 6) and [6, 8) at the base re-take; the
+/// session's 4 chains check the point once per tick, so hit 4 is tick
+/// 6) — is recovered from the in-memory base and replay log: every
+/// query's served series stays bit-identical to the fault-free
+/// reference.
+#[test]
+fn retired_served_session_recovers_step_faults_bit_identically() {
+    let _guard = ChaosGuard::acquire();
+    let (db, joe, sue) = schema_db();
+    let ticks = script(&joe, &sue);
+    let reference = reference_alerts(&ticks);
+    let frames: Vec<Vec<WireMarginal>> = ticks
+        .iter()
+        .map(|staged| {
+            staged
+                .iter()
+                .map(|(idx, m)| WireMarginal {
+                    stream_type: "At".to_owned(),
+                    key: vec![["joe", "sue"][*idx].to_owned()],
+                    probs: m.probs().to_vec(),
+                })
+                .collect()
+        })
+        .collect();
+    for (mode, point) in [
+        (TickMode::Parallel, "worker_step"),
+        (TickMode::Sequential, "sequential_step"),
+    ] {
+        let config = ServerConfig::builder()
+            .n_shards(1)
+            .history_ticks(Some(2))
+            .session_config(
+                SessionConfig::builder()
+                    .tick_mode(mode)
+                    .n_workers(2)
+                    .build()
+                    .unwrap(),
+            )
+            .build()
+            .unwrap();
+        let server = LaharServer::start(config, db.clone()).unwrap();
+        let mut client = LaharClient::connect(server.addr(), point).unwrap();
+        client.open().unwrap();
+        client.register("ext", "At(p,'a') ; At(p,'c')").unwrap();
+        client
+            .register("joe", "At('joe','a') ; At('joe','c')")
+            .unwrap();
+        client.register("sue_h", "At('sue','h')").unwrap();
+        for frame in &frames[..4] {
+            client.stage_tick(frame).unwrap();
+        }
+        failpoint::configure(point, FailAction::Error, Schedule::Once { at: 0 });
+        client.stage_tick(&frames[4]).unwrap();
+        assert_eq!(
+            failpoint::trigger_count(point),
+            1,
+            "{point}: one-tick fault"
+        );
+        failpoint::configure(point, FailAction::Error, Schedule::Once { at: 4 });
+        client.stage_epoch(&frames[5..]).unwrap();
+        assert_eq!(
+            failpoint::trigger_count(point),
+            1,
+            "{point}: mid-epoch fault"
+        );
+        failpoint::clear_all();
+        for (qi, name) in ["ext", "joe", "sue_h"].into_iter().enumerate() {
+            let want: Vec<u64> = reference.iter().map(|tick| tick[qi].2).collect();
+            let got: Vec<u64> = client
+                .series(name)
+                .unwrap()
+                .iter()
+                .map(|p| p.to_bits())
+                .collect();
+            assert_eq!(got, want, "{point}: served series of {name}");
+        }
+        client.shutdown_server().unwrap();
+        server.join().unwrap();
+    }
 }
