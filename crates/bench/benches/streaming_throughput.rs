@@ -11,12 +11,13 @@
 
 use lahar_bench::report::{self, num, text};
 use lahar_bench::{header, median, quick_mode, row, timed};
+use lahar_core::json::JsonValue;
 use lahar_core::protocol::WireMarginal;
 use lahar_core::{
     Durability, LaharClient, LaharServer, RealTimeSession, Sampler, SamplerConfig, ServerConfig,
     SessionConfig, TickMode,
 };
-use lahar_model::{Database, Marginal, StreamBuilder};
+use lahar_model::{Database, Domain, Marginal, Stream, StreamBuilder, StreamKey};
 use lahar_query::NormalQuery;
 
 const DOMAIN: [&str; 3] = ["a", "h", "c"];
@@ -264,6 +265,119 @@ fn sampler_db(seed: u64, horizon: usize) -> Database {
         }
     }
     db
+}
+
+/// The three `fanout_tick` queries (perfbench), registered by the
+/// registration bench.
+const FANOUT_QUERIES: [&str; 3] = [
+    "At(p, l1)[Hallway(l1)] ; At(p, l2)[CoffeeRoom(l2)]",
+    "At(p, l1)[NotRoom(l1)] ; At(p, l2)[NotRoom(l2)] ; At(p, l3)[CoffeeRoom(l3)]",
+    "At(p, l1)[Office(p, l1)] ; (At(p, l))+{p | Hallway(l)} ; At(p, l2)[CoffeeRoom(l2)]",
+];
+
+/// The `fanout_tick` session template at `n_tags` keys: the RFID
+/// deployment's schema and relations (at most 20 people, the rest
+/// objects) with one empty `At` stream per tag over the building's
+/// locations.
+fn rfid_template(n_tags: usize) -> Database {
+    let n_people = n_tags.clamp(1, 20);
+    let dep = lahar_rfid::Deployment::simulate(lahar_rfid::DeploymentConfig {
+        ticks: 1,
+        n_people,
+        n_objects: n_tags - n_people,
+        ..lahar_rfid::DeploymentConfig::default()
+    });
+    let mut db = dep.base_database();
+    let i = db.interner().clone();
+    let domain = Domain::new(
+        1,
+        dep.plan
+            .locations()
+            .iter()
+            .map(|l| lahar_model::tuple([i.intern(&l.name)]))
+            .collect(),
+    )
+    .unwrap();
+    for tag in dep.tag_names() {
+        let id = StreamKey {
+            stream_type: i.intern("At"),
+            key: lahar_model::tuple([i.intern(&tag)]),
+        };
+        db.add_stream(Stream::independent(id, domain.clone(), Vec::new()).unwrap())
+            .unwrap();
+    }
+    db
+}
+
+/// Registration cost against the key count: the wall time of
+/// `register` for the three `fanout_tick` queries on a fresh session at
+/// 100/350/1000 keys, and the log-log slope of its median against keys.
+/// Grounding an extended regular query is O(bindings) (Thm 3.7), so the
+/// slope should read ≈ 1; a per-binding scan of every stream reads ≈ 2.
+fn registration_bench() {
+    const KEYS: [usize; 3] = [100, 350, 1000];
+    let runs = if quick_mode() { 5 } else { 9 };
+    println!();
+    header(
+        "Registration (3 fanout_tick queries)",
+        &["keys", "chains", "min ms", "median ms", "max ms"],
+    );
+    let mut sizes = Vec::new();
+    let mut points = Vec::new();
+    for n_keys in KEYS {
+        let template = rfid_template(n_keys);
+        let mut times = Vec::with_capacity(runs);
+        let mut chains = 0;
+        for _ in 0..runs {
+            let mut session =
+                RealTimeSession::with_config(template.clone(), SessionConfig::default()).unwrap();
+            let ((), secs) = timed(|| {
+                for (k, src) in FANOUT_QUERIES.iter().enumerate() {
+                    session.register(&format!("q{k}"), src).unwrap();
+                }
+            });
+            chains = session.n_chains();
+            times.push(secs * 1e3);
+        }
+        let med = median(&mut times);
+        let (min, max) = (times[0], times[times.len() - 1]);
+        row(&format!("{n_keys}"), &[chains as f64, min, med, max]);
+        points.push(((n_keys as f64).ln(), med.ln()));
+        let entry: std::collections::BTreeMap<String, JsonValue> = [
+            ("keys", n_keys as f64),
+            ("chains", chains as f64),
+            ("min_ms", min),
+            ("median_ms", med),
+            ("max_ms", max),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_owned(), num(v)))
+        .collect();
+        sizes.push(JsonValue::Object(entry));
+    }
+    // Least-squares slope of ln(median) against ln(keys).
+    let n = points.len() as f64;
+    let (mx, my) = (
+        points.iter().map(|p| p.0).sum::<f64>() / n,
+        points.iter().map(|p| p.1).sum::<f64>() / n,
+    );
+    let slope = points.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum::<f64>()
+        / points.iter().map(|p| (p.0 - mx).powi(2)).sum::<f64>();
+    println!("log-log slope of register time against keys: {slope:.3}");
+    let cores = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
+    report::write_section(
+        "registration",
+        vec![
+            ("mode", text(if quick_mode() { "quick" } else { "full" })),
+            ("queries", num(FANOUT_QUERIES.len() as f64)),
+            ("runs", num(runs as f64)),
+            ("sizes", JsonValue::Array(sizes)),
+            ("slope", num(slope)),
+            ("host_cores", num(cores as f64)),
+        ],
+    );
 }
 
 /// World-steps per second of the Monte Carlo sampler on the #P-hard
@@ -700,6 +814,7 @@ fn main() {
     report::write_section("serve_observability", obs_fields);
 
     sampler_throughput_bench();
+    registration_bench();
 
     // The telemetry snapshot itself, as the deployment-facing JSON.
     let (mut par, ticks) = build_session(people_counts[0], TickMode::Parallel);

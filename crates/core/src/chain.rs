@@ -226,6 +226,17 @@ fn fingerprint_syms(syms: &[Vec<SymbolSet>]) -> u64 {
     h
 }
 
+/// The shared automaton of a query structure. [`build_regex`] depends
+/// only on the item count and Kleene flags — constants shift symbol
+/// *tables*, not the automaton — so every grounded binding of one query
+/// resolves to the same compiled DFA, in both modes, through the
+/// registry; the NFA is only compiled on a registry miss.
+pub(crate) fn query_automaton(items: &[NormalItem]) -> Arc<kernel::SharedAutomaton> {
+    let regex = build_regex(items);
+    let key = format!("{regex:?}");
+    kernel::shared_automaton(&key, || Nfa::compile(&regex)).0
+}
+
 impl ChainEvaluator {
     /// Builds an evaluator for grounded items over the database, with the
     /// default hidden-state cap.
@@ -235,7 +246,18 @@ impl ChainEvaluator {
 
     /// Builds an evaluator with an explicit joint-state cap.
     pub fn with_cap(db: &Database, items: &[NormalItem], cap: usize) -> Result<Self, EngineError> {
-        let regex = build_regex(items);
+        Self::with_automaton(db, items, query_automaton(items), cap)
+    }
+
+    /// Builds an evaluator over an automaton already resolved for the
+    /// items' structure ([`query_automaton`]): the per-binding chains
+    /// of one grounded query share one resolution.
+    pub(crate) fn with_automaton(
+        db: &Database,
+        items: &[NormalItem],
+        automaton: Arc<kernel::SharedAutomaton>,
+        cap: usize,
+    ) -> Result<Self, EngineError> {
         let streams = relevant_streams(db, items);
         let mut sizes = Vec::with_capacity(streams.len());
         let mut syms = Vec::with_capacity(streams.len());
@@ -246,13 +268,6 @@ impl ChainEvaluator {
             syms.push(symbol_table(db, s, items)?);
             any_markov |= s.is_markov();
         }
-        // All grounded bindings of one query structure compile the same
-        // regex (constants only shift symbol *tables*, not the
-        // automaton), so the shared-automaton registry collapses them —
-        // in both modes — to one compiled DFA. The NFA is only compiled
-        // on a registry miss.
-        let key = format!("{regex:?}");
-        let (automaton, _reused) = kernel::shared_automaton(&key, || Nfa::compile(&regex));
         let mut local = LocalDfa::new(automaton);
         // The joint hidden space only materializes in Markov mode;
         // independent mode tracks automaton states alone, so many relevant
@@ -407,6 +422,12 @@ impl ChainEvaluator {
     /// Indices into `db.streams()` of the streams this chain reads.
     pub(crate) fn streams(&self) -> &[usize] {
         &self.streams
+    }
+
+    /// Per relevant stream: its symbol set per outcome.
+    #[cfg(test)]
+    pub(crate) fn syms(&self) -> &[Vec<SymbolSet>] {
+        &self.syms
     }
 
     /// Drains the kernel-path counters accumulated since the last call.

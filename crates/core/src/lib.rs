@@ -44,6 +44,8 @@ mod engine;
 mod error;
 pub mod expose;
 pub mod failpoint;
+#[cfg(test)]
+mod grounding_tests;
 mod interval;
 pub mod json;
 mod kernel;

@@ -18,7 +18,7 @@
 //! scenario carry the hidden value in their state, so they step one at
 //! a time from the database ([`Archived`]).
 
-use crate::chain::{ChainEvaluator, TickFrame};
+use crate::chain::{query_automaton, ChainEvaluator, TickFrame, DEFAULT_STATE_CAP};
 use crate::error::EngineError;
 use crate::kernel::{KernelTickStats, SymCache};
 use crate::translate::{enumerate_bindings, substitute_items};
@@ -57,7 +57,9 @@ impl QueryKind {
 /// pure function of the query and the database *schema* (declared
 /// streams, keys, domains, relations) — never of recorded marginals —
 /// which is what makes structural rebuilds during recovery
-/// deterministic.
+/// deterministic. Grounding costs O(bindings × |dom| × items): the
+/// automaton is resolved once per query, and a binding's streams come
+/// from the database's key index rather than a scan.
 pub(crate) fn ground(
     db: &Database,
     nq: &NormalQuery,
@@ -69,10 +71,17 @@ pub(crate) fn ground(
             vec![ChainEvaluator::new(db, &nq.items)?],
         )),
         QueryClass::ExtendedRegular => {
+            // One automaton for every binding: substitution never
+            // changes the query's structure.
+            let automaton = query_automaton(&nq.items);
             let shared: Vec<_> = shared_vars(&nq.items).into_iter().collect();
             let chains = enumerate_bindings(db, &nq.items, &shared, DEFAULT_BINDING_CAP)?
                 .iter()
-                .map(|binding| ChainEvaluator::new(db, &substitute_items(&nq.items, binding)))
+                .map(|binding| {
+                    let items = substitute_items(&nq.items, binding);
+                    let automaton = automaton.clone();
+                    ChainEvaluator::with_automaton(db, &items, automaton, DEFAULT_STATE_CAP)
+                })
                 .collect::<Result<_, _>>()?;
             Ok((QueryKind::Extended, chains))
         }

@@ -21,8 +21,8 @@
 
 use crate::error::EngineError;
 use lahar_automata::{Regex, SymbolSet};
-use lahar_model::{Database, GroundEvent, Stream};
-use lahar_query::{match_event, BaseQuery, Binding, Cond, NormalItem, Subgoal, Term, Var};
+use lahar_model::{Database, GroundEvent, Stream, StreamId, StreamKey, Symbol, Value};
+use lahar_query::{BaseQuery, Binding, Cond, Matcher, NormalItem, Subgoal, Term, Var};
 
 /// Bit index of the *match* symbol of item `i`.
 pub fn m_bit(i: usize) -> u32 {
@@ -161,14 +161,52 @@ pub fn stream_relevant(db: &Database, stream: &Stream, items: &[NormalItem]) -> 
     })
 }
 
-/// The indices (into `db.streams()`) of the streams relevant to the items.
+/// The indices (into `db.streams()`) of the streams relevant to the
+/// items, sorted and deduplicated. When every item's subgoal names all
+/// of its key attributes by constants — every per-binding chain of an
+/// extended regular query keyed by its shared variables — the streams
+/// come from the database's key index; otherwise every stream is
+/// checked with [`stream_relevant`].
 pub fn relevant_streams(db: &Database, items: &[NormalItem]) -> Vec<usize> {
+    if let Some(mut found) = keyed_streams(db, items) {
+        found.sort_unstable();
+        found.dedup();
+        return found;
+    }
     db.streams()
         .iter()
         .enumerate()
         .filter(|(_, s)| stream_relevant(db, s, items))
         .map(|(i, _)| i)
         .collect()
+}
+
+/// The streams the items' fully constant keys name, or `None` when some
+/// item's key holds a variable. An item of an undeclared stream type
+/// names no stream.
+fn keyed_streams(db: &Database, items: &[NormalItem]) -> Option<Vec<usize>> {
+    let mut found = Vec::with_capacity(items.len());
+    for item in items {
+        let goal = item.base.goal();
+        let Some(schema) = db.catalog().stream(goal.stream_type) else {
+            continue;
+        };
+        let key = goal
+            .args
+            .get(..schema.key_arity)?
+            .iter()
+            .map(|t| match t {
+                Term::Const(c) => Some(*c),
+                Term::Var(_) => None,
+            })
+            .collect::<Option<_>>()?;
+        let id = StreamKey {
+            stream_type: goal.stream_type,
+            key,
+        };
+        found.extend(db.stream_id(&id).map(StreamId::index));
+    }
+    Some(found)
 }
 
 /// The per-outcome symbol table of one stream: `syms[d]` is the symbol set
@@ -179,17 +217,12 @@ pub fn symbol_table(
     stream: &Stream,
     items: &[NormalItem],
 ) -> Result<Vec<SymbolSet>, EngineError> {
-    let domain = stream.domain();
-    let mut table = vec![SymbolSet::EMPTY; domain.len()];
-    for (d, values) in domain.iter() {
-        let event = GroundEvent {
-            stream_type: stream.id().stream_type,
-            key: stream.id().key.clone(),
-            values: values.clone(),
-            t: 0,
-        };
-        table[d] = symbols_for_event(db, &event, items)?;
-    }
+    let mut matcher = Matcher::default();
+    let id = stream.id();
+    let mut table = (stream.domain().iter())
+        .map(|(_, values)| symbols_of(&mut matcher, db, (id.stream_type, &id.key, values), items))
+        .collect::<Result<Vec<_>, _>>()?;
+    table.push(SymbolSet::EMPTY); // ⊥
     Ok(table)
 }
 
@@ -199,17 +232,34 @@ pub fn symbols_for_event(
     event: &GroundEvent,
     items: &[NormalItem],
 ) -> Result<SymbolSet, EngineError> {
+    symbols_of(
+        &mut Matcher::default(),
+        db,
+        (event.stream_type, &event.key, &event.values),
+        items,
+    )
+}
+
+/// The symbol set of the event `(stream type, key, values)`, matched
+/// with a reused matcher.
+fn symbols_of(
+    matcher: &mut Matcher,
+    db: &Database,
+    (stream_type, key, values): (Symbol, &[Value], &[Value]),
+    items: &[NormalItem],
+) -> Result<SymbolSet, EngineError> {
+    let unbound = Binding::new();
     let mut set = SymbolSet::EMPTY;
     for (i, item) in items.iter().enumerate() {
         let goal = item.base.goal();
         let inner = item.base.inner_cond();
-        if let Some(binding) = match_event(db, goal, inner, event, &Binding::new())? {
+        if matcher.match_event(db, goal, inner, stream_type, key, values, &unbound)? {
             set.insert(m_bit(i));
             let accept_cond: &Cond = match &item.base {
                 BaseQuery::Kleene { each, .. } => each,
                 BaseQuery::Goal { .. } => &item.assoc,
             };
-            if lahar_query::eval_cond(db, accept_cond, &binding)? {
+            if matcher.eval_cond(db, accept_cond, &unbound)? {
                 set.insert(a_bit(i));
             }
         }
@@ -220,9 +270,9 @@ pub fn symbols_for_event(
 /// Candidate constants for grounding a variable: the values observed at
 /// `x`'s positions across the database's streams, intersected over the
 /// subgoals in which `x` occurs.
-pub fn candidate_values(db: &Database, items: &[NormalItem], x: Var) -> Vec<lahar_model::Value> {
+pub fn candidate_values(db: &Database, items: &[NormalItem], x: Var) -> Vec<Value> {
     use std::collections::BTreeSet;
-    let mut candidates: Option<BTreeSet<lahar_model::Value>> = None;
+    let mut candidates: Option<BTreeSet<Value>> = None;
     for item in items {
         let goal = item.base.goal();
         let positions = goal.positions_of(x);
@@ -268,7 +318,7 @@ pub fn enumerate_bindings(
     vars: &[Var],
     cap: usize,
 ) -> Result<Vec<Binding>, EngineError> {
-    let per_var: Vec<Vec<lahar_model::Value>> = vars
+    let per_var: Vec<Vec<Value>> = vars
         .iter()
         .map(|&x| candidate_values(db, items, x))
         .collect();

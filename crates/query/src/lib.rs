@@ -33,7 +33,7 @@ pub use analysis::{
     streams_disjoint, syntactically_independent, validate, QueryClass, MAX_SUBGOALS,
 };
 pub use ast::{BaseQuery, CmpOp, Cond, Query, Subgoal, Term, Var};
-pub use matching::{eval_cond, match_event, Binding, QueryError};
+pub use matching::{eval_cond, match_event, Binding, Lookup, Matcher, QueryError};
 pub use normalize::{NormalItem, NormalQuery, ResidualCond};
 pub use parser::{parse_and_validate, parse_query};
 pub use plan::{compile_safe_plan, SafePlan};

@@ -1,7 +1,7 @@
 //! Subgoal-to-event matching and condition evaluation under a binding.
 
 use crate::ast::{Cond, Subgoal, Term, Var};
-use lahar_model::{Database, GroundEvent, Value};
+use lahar_model::{Database, GroundEvent, Symbol, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -74,14 +74,117 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
+/// Where a condition reads its variables: a [`Binding`], or the
+/// variables one match bound layered over the binding it extended.
+pub trait Lookup {
+    /// The value bound to `v`, if any.
+    fn lookup(&self, v: Var) -> Option<Value>;
+}
+
+impl Lookup for Binding {
+    fn lookup(&self, v: Var) -> Option<Value> {
+        self.get(&v).copied()
+    }
+}
+
+/// The variables a match bound (`fresh`, never already in `outer`)
+/// layered over the binding the match extended.
+struct Layered<'a, L: ?Sized> {
+    fresh: &'a [(Var, Value)],
+    outer: &'a L,
+}
+
+impl<L: Lookup + ?Sized> Lookup for Layered<'_, L> {
+    fn lookup(&self, v: Var) -> Option<Value> {
+        match self.fresh.iter().find(|(w, _)| *w == v) {
+            Some(&(_, value)) => Some(value),
+            None => self.outer.lookup(v),
+        }
+    }
+}
+
+/// Matches events against subgoals — the one matcher behind both the
+/// possible-world semantics ([`match_event`]) and the symbol
+/// translation of the streaming engine. It reads an event's key and
+/// value slices in place, binds the variables a subgoal introduces
+/// into a reused buffer and probes relations through a reused tuple,
+/// so matching many events with one matcher allocates nothing once
+/// the buffers have grown.
+#[derive(Debug, Clone, Default)]
+pub struct Matcher {
+    /// Variables bound by the last match, in first-occurrence order.
+    fresh: Vec<(Var, Value)>,
+    /// Relation probe tuple.
+    probe: Vec<Value>,
+}
+
+impl Matcher {
+    /// Matches the event `stream_type(key…, values…)` against subgoal
+    /// `goal` under the existing binding `outer`, then checks the inner
+    /// condition `cond` on the extended binding. On a match, the
+    /// matcher holds the variables the subgoal bound, for
+    /// [`Matcher::eval_cond`].
+    ///
+    /// Variables bound in `outer` act as constants (this is how shared
+    /// variables constrain successor choice in the sequence semantics);
+    /// repeated variables within the subgoal must match equal values.
+    #[allow(clippy::too_many_arguments)]
+    pub fn match_event<L: Lookup + ?Sized>(
+        &mut self,
+        db: &Database,
+        goal: &Subgoal,
+        cond: &Cond,
+        stream_type: Symbol,
+        key: &[Value],
+        values: &[Value],
+        outer: &L,
+    ) -> Result<bool, QueryError> {
+        self.fresh.clear();
+        if stream_type != goal.stream_type || key.len() + values.len() != goal.args.len() {
+            return Ok(false);
+        }
+        for (term, &actual) in goal.args.iter().zip(key.iter().chain(values)) {
+            match term {
+                Term::Const(c) => {
+                    if *c != actual {
+                        return Ok(false);
+                    }
+                }
+                Term::Var(v) => {
+                    let bound = Layered {
+                        fresh: &self.fresh,
+                        outer,
+                    }
+                    .lookup(*v);
+                    match bound {
+                        Some(bound) if bound != actual => return Ok(false),
+                        Some(_) => {}
+                        None => self.fresh.push((*v, actual)),
+                    }
+                }
+            }
+        }
+        self.eval_cond(db, cond, outer)
+    }
+
+    /// Evaluates `cond` on the last match's binding: its fresh
+    /// variables layered over `outer`.
+    pub fn eval_cond<L: Lookup + ?Sized>(
+        &mut self,
+        db: &Database,
+        cond: &Cond,
+        outer: &L,
+    ) -> Result<bool, QueryError> {
+        let Self { fresh, probe } = self;
+        eval(db, cond, &Layered { fresh, outer }, probe)
+    }
+}
+
 /// Attempts to match `event` against subgoal `goal` under an existing
 /// `binding`, then checks the inner condition `cond` on the extended
-/// binding.
+/// binding (see [`Matcher::match_event`]).
 ///
-/// Returns the extended binding on success. Variables already present in
-/// `binding` act as constants (this is how shared variables constrain
-/// successor choice in the sequence semantics); repeated variables within
-/// the subgoal must match equal values.
+/// Returns the extended binding on success.
 pub fn match_event(
     db: &Database,
     goal: &Subgoal,
@@ -89,65 +192,70 @@ pub fn match_event(
     event: &GroundEvent,
     binding: &Binding,
 ) -> Result<Option<Binding>, QueryError> {
-    if event.stream_type != goal.stream_type || event.arity() != goal.args.len() {
-        return Ok(None);
-    }
-    let mut extended = binding.clone();
-    for (i, term) in goal.args.iter().enumerate() {
-        let actual = event.attr(i);
-        match term {
-            Term::Const(c) => {
-                if *c != actual {
-                    return Ok(None);
-                }
-            }
-            Term::Var(v) => match extended.get(v) {
-                Some(&bound) if bound != actual => return Ok(None),
-                Some(_) => {}
-                None => {
-                    extended.insert(*v, actual);
-                }
-            },
-        }
-    }
-    if eval_cond(db, cond, &extended)? {
-        Ok(Some(extended))
-    } else {
-        Ok(None)
-    }
+    let mut matcher = Matcher::default();
+    let matched = matcher.match_event(
+        db,
+        goal,
+        cond,
+        event.stream_type,
+        &event.key,
+        &event.values,
+        binding,
+    )?;
+    Ok(matched.then(|| {
+        let mut extended = binding.clone();
+        extended.extend(matcher.fresh.iter().copied());
+        extended
+    }))
 }
 
 /// Resolves a term to a value under a binding.
-fn resolve(term: &Term, binding: &Binding) -> Result<Value, QueryError> {
+fn resolve<L: Lookup + ?Sized>(term: &Term, vars: &L) -> Result<Value, QueryError> {
     match term {
         Term::Const(c) => Ok(*c),
-        Term::Var(v) => binding
-            .get(v)
-            .copied()
+        Term::Var(v) => vars
+            .lookup(*v)
             .ok_or_else(|| QueryError::UnboundVar(format!("?{}", v.0 .0))),
     }
 }
 
 /// Evaluates a condition under a binding, consulting the database's
 /// standard relations for [`Cond::Rel`] atoms.
-pub fn eval_cond(db: &Database, cond: &Cond, binding: &Binding) -> Result<bool, QueryError> {
+pub fn eval_cond<L: Lookup + ?Sized>(
+    db: &Database,
+    cond: &Cond,
+    vars: &L,
+) -> Result<bool, QueryError> {
+    eval(db, cond, vars, &mut Vec::new())
+}
+
+/// [`eval_cond`] with a caller-owned relation probe tuple.
+fn eval<L: Lookup + ?Sized>(
+    db: &Database,
+    cond: &Cond,
+    vars: &L,
+    probe: &mut Vec<Value>,
+) -> Result<bool, QueryError> {
     match cond {
         Cond::True => Ok(true),
         Cond::Cmp { op, lhs, rhs } => {
-            let l = resolve(lhs, binding)?;
-            let r = resolve(rhs, binding)?;
+            let l = resolve(lhs, vars)?;
+            let r = resolve(rhs, vars)?;
             Ok(op.apply(l, r))
         }
         Cond::Rel { name, args } => {
             let rel = db.relation(*name).ok_or_else(|| {
                 QueryError::UnknownRelation(db.interner().resolve(*name).unwrap_or_default())
             })?;
-            let vals: Result<Vec<Value>, _> = args.iter().map(|t| resolve(t, binding)).collect();
-            Ok(rel.contains(&vals?))
+            probe.clear();
+            for t in args {
+                probe.push(resolve(t, vars)?);
+            }
+            Ok(rel.contains(probe))
         }
-        Cond::And(a, b) => Ok(eval_cond(db, a, binding)? && eval_cond(db, b, binding)?),
-        Cond::Or(a, b) => Ok(eval_cond(db, a, binding)? || eval_cond(db, b, binding)?),
-        Cond::Not(a) => Ok(!eval_cond(db, a, binding)?),
+        Cond::And(a, b) => Ok(eval(db, a, vars, probe)? && eval(db, b, vars, probe)?),
+        Cond::Or(a, b) => Ok(eval(db, a, vars, probe)? || eval(db, b, vars, probe)?),
+        Cond::Not(a) => Ok(!eval(db, a, vars, probe)?),
     }
 }
 

@@ -688,19 +688,28 @@ struct ConnReport {
     latencies_ns: Vec<u64>,
 }
 
-/// One bench connection: open the shared session, then drive `ticks`
-/// `stage_tick` round trips, counting `overloaded` pushback explicitly
-/// (no [`RetryPolicy`] — the bench *is* the backpressure accountant)
-/// and retrying the same tick with bounded exponential backoff, so an
-/// acknowledged tick count is exact: nothing is silently dropped.
+/// How many bench connections may be connecting at once. The server's
+/// listen backlog is std's 128; when more simultaneous connects than
+/// that arrive before the reactor accepts them, the kernel drops the
+/// excess SYNs and each dropped client waits out the 1 s SYN
+/// retransmit, which the arm's wall time would then measure.
+const CONNECT_WINDOW: usize = 64;
+
+/// One bench connection: open the shared session (then signal
+/// `opened`), then drive `ticks` `stage_tick` round trips, counting
+/// `overloaded` pushback explicitly (no [`RetryPolicy`] — the bench
+/// *is* the backpressure accountant) and retrying the same tick with
+/// bounded exponential backoff, so an acknowledged tick count is
+/// exact: nothing is silently dropped.
 fn bench_connection(
     addr: SocketAddr,
     session: &str,
     ticks: usize,
     frames: &[Vec<WireMarginal>],
+    opened: &std::sync::mpsc::Sender<()>,
 ) -> Result<ConnReport, String> {
-    // A 512-way connect storm can outrun the listen backlog; retry the
-    // connect itself a few times before declaring the server gone.
+    // Retry the connect itself a few times before declaring the server
+    // gone.
     let mut client = {
         let mut attempt = 0u32;
         loop {
@@ -736,6 +745,7 @@ fn bench_connection(
             Err(e) => return Err(format!("open: {e}")),
         }
     }
+    let _ = opened.send(());
     for k in 0..ticks {
         let frame = &frames[k % frames.len()];
         let mut backoff = 0u32;
@@ -863,11 +873,25 @@ fn cmd_bench_ingest(args: &[String]) -> Result<(), String> {
              against {addr} ..."
         );
         let started = std::time::Instant::now();
+        // At most CONNECT_WINDOW connections are between `connect` and
+        // their answered `open` at once: each opened connection lets
+        // the next thread start.
+        let (opened_tx, opened_rx) = std::sync::mpsc::channel::<()>();
         let handles: Vec<_> = (0..connections)
             .map(|i| {
+                if i >= CONNECT_WINDOW {
+                    let _ = opened_rx.recv();
+                }
                 let frames = std::sync::Arc::clone(&frames);
                 let session = format!("bench-a{arm_idx}-{}", i % sessions);
-                std::thread::spawn(move || bench_connection(addr, &session, ticks, &frames))
+                let opened = opened_tx.clone();
+                std::thread::spawn(move || {
+                    let report = bench_connection(addr, &session, ticks, &frames, &opened);
+                    if report.is_err() {
+                        let _ = opened.send(()); // never leave the window short
+                    }
+                    report
+                })
             })
             .collect();
         let mut latencies: Vec<u64> = Vec::with_capacity(connections * ticks);
