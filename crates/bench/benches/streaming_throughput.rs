@@ -26,6 +26,9 @@ const QUERIES_PER_KEY: usize = 3;
 /// Timing runs per arm; every recorded figure is the median run (see
 /// [`median`]), so one preempted run cannot move a committed number.
 const RUNS: usize = 3;
+/// Timing runs of the headline 1050-chain sequential and parallel arms,
+/// whose minimum, median and maximum go to `BENCH_streaming.json`.
+const LEDGER_RUNS: usize = 5;
 
 /// Untimed warm-up ticks before each timed window. Beyond one-off setup
 /// (chain compilation, shard spawning, pool spawn), the first ~24 ticks
@@ -37,6 +40,17 @@ const RUNS: usize = 3;
 /// spends its life in, which is what the timed window measures.
 fn warmup_ticks(n_ticks: usize) -> usize {
     n_ticks.max(32)
+}
+
+/// The headline figures of the largest workload: ticks/s as
+/// `[min, median, max]` over the runs of each arm.
+struct Headline {
+    chains: usize,
+    seq: [f64; 3],
+    par: [f64; 3],
+    /// Per chain per tick, of the median sequential run.
+    ns_per_chain_step: f64,
+    hit_rate: f64,
 }
 
 fn build_session(n_people: usize, mode: TickMode) -> (RealTimeSession, Vec<Vec<Marginal>>) {
@@ -507,16 +521,22 @@ fn main() {
     );
     // Headline numbers for BENCH_streaming.json, taken at the largest
     // workload of the sweep.
-    let mut headline: Option<(usize, f64, f64, f64, f64)> = None;
+    let mut headline: Option<Headline> = None;
     for &n_people in people_counts {
-        // Each arm runs `RUNS` times on a fresh session, warmed to
-        // steady state (see [`warmup_ticks`]), and records the median
-        // run; the telemetry below is read from the last run (counter
-        // totals are identical across runs).
+        // Each arm runs `RUNS` times (the headline workload
+        // `LEDGER_RUNS` times) on a fresh session, warmed to steady state
+        // (see [`warmup_ticks`]), and records the median run; the
+        // telemetry below is read from the last run (counter totals are
+        // identical across runs).
+        let runs = if n_people == *people_counts.last().unwrap() {
+            LEDGER_RUNS
+        } else {
+            RUNS
+        };
         let warmup = warmup_ticks(n_ticks);
         let mut seq_runs = Vec::new();
         let mut seq_last = None;
-        for _ in 0..RUNS {
+        for _ in 0..runs {
             let (mut seq, ticks) = build_session(n_people, TickMode::Sequential);
             run_ticks(&mut seq, &ticks, warmup);
             seq_runs.push(timed(|| run_ticks(&mut seq, &ticks, n_ticks)).1);
@@ -527,7 +547,7 @@ fn main() {
 
         let mut par_runs = Vec::new();
         let mut par_last = None;
-        for _ in 0..RUNS {
+        for _ in 0..runs {
             let (mut par, ticks) = build_session(n_people, TickMode::Parallel);
             run_ticks(&mut par, &ticks, warmup);
             par_runs.push(timed(|| run_ticks(&mut par, &ticks, n_ticks)).1);
@@ -550,13 +570,22 @@ fn main() {
         } else {
             0.0
         };
-        headline = Some((
-            n_chains,
-            n_ticks as f64 / seq_secs,
-            n_ticks as f64 / par_secs,
-            seq_secs * 1e9 / (n_ticks * n_chains) as f64,
+        // Sorted by `median`: the fastest run is the last.
+        let spread = |sorted: &[f64], median_secs: f64| {
+            let rate = |secs: f64| n_ticks as f64 / secs;
+            [
+                rate(sorted[sorted.len() - 1]),
+                rate(median_secs),
+                rate(sorted[0]),
+            ]
+        };
+        headline = Some(Headline {
+            chains: n_chains,
+            seq: spread(&seq_runs, seq_secs),
+            par: spread(&par_runs, par_secs),
+            ns_per_chain_step: seq_secs * 1e9 / (n_ticks * n_chains) as f64,
             hit_rate,
-        ));
+        });
         row(
             &format!("{n_chains}"),
             &[
@@ -619,16 +648,30 @@ fn main() {
         ],
     );
 
-    let (chains, seq_tps, par_tps, ns_per_chain_step, hit_rate) =
-        headline.expect("at least one workload ran");
+    let Headline {
+        chains,
+        seq: [seq_min, seq_tps, seq_max],
+        par: [par_min, par_tps, par_max],
+        ns_per_chain_step,
+        hit_rate,
+    } = headline.expect("at least one workload ran");
+    let cores = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
     report::write_section(
         "streaming_throughput",
         vec![
             ("mode", text(if quick_mode() { "quick" } else { "full" })),
             ("chains", num(chains as f64)),
             ("ticks", num(n_ticks as f64)),
+            ("runs", num(LEDGER_RUNS as f64)),
+            ("host_cores", num(cores as f64)),
             ("seq_ticks_per_sec", num(seq_tps)),
+            ("seq_ticks_per_sec_min", num(seq_min)),
+            ("seq_ticks_per_sec_max", num(seq_max)),
             ("par_ticks_per_sec", num(par_tps)),
+            ("par_ticks_per_sec_min", num(par_min)),
+            ("par_ticks_per_sec_max", num(par_max)),
             ("ns_per_chain_step", num(ns_per_chain_step)),
             ("kernel_hit_rate", num(hit_rate)),
             ("interpreter_ticks_per_sec", num(n_ticks as f64 / intp_secs)),
@@ -691,9 +734,6 @@ fn main() {
             par4_tps = Some(tps);
         }
     }
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     matrix_fields.push(("host_cores", num(cores as f64)));
     report::write_section("streaming_worker_matrix", matrix_fields);
     if cores >= 4 {

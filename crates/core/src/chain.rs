@@ -96,7 +96,9 @@ impl TickFrame {
     /// Writes every stream's marginal into the frame: `probs(s)` is
     /// stream `s`'s, one probability per outcome of its domain. Streams
     /// go in blocks of eight, so a block writes whole cache lines of
-    /// each outcome row rather than one cell per line.
+    /// each outcome row rather than one cell per line; a full block of
+    /// equal domains (the common case) copies without a per-cell bounds
+    /// branch.
     pub(crate) fn fill<'m>(&mut self, probs: impl Fn(usize) -> &'m [f64]) {
         const BLOCK: usize = 8;
         let n = self.n_streams;
@@ -108,6 +110,16 @@ impl TickFrame {
                 *marginal = probs(s0 + j);
                 debug_assert_eq!(marginal.len(), self.lens[s0 + j]);
                 width = width.max(marginal.len());
+            }
+            if m == BLOCK && block.iter().all(|marginal| marginal.len() == width) {
+                let cols: [&[f64]; BLOCK] = std::array::from_fn(|j| &block[j][..width]);
+                for d in 0..width {
+                    let row = &mut self.p[d * n + s0..d * n + s0 + BLOCK];
+                    for (cell, col) in row.iter_mut().zip(&cols) {
+                        *cell = col[d];
+                    }
+                }
+                continue;
             }
             for d in 0..width {
                 let row = &mut self.p[d * n + s0..d * n + s0 + m];
@@ -132,6 +144,60 @@ impl TickFrame {
             .step_by(self.n_streams)
             .take(self.lens[s])
             .copied()
+    }
+}
+
+/// The symbol distribution of a chain that reads one independent
+/// stream, as a projection: the table's distinct symbol sets ascending
+/// (`support`) and, per outcome, its entry there (`slot_of`). A tick's
+/// distribution is then one add per outcome, with no sort or merge. The
+/// SoA batcher fills a uniform group's probability matrix through the
+/// same projection.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Projection {
+    pub(crate) support: Vec<SymbolSet>,
+    pub(crate) slot_of: Vec<u32>,
+}
+
+impl Projection {
+    fn new(syms: &[SymbolSet]) -> Self {
+        let mut support = syms.to_vec();
+        support.sort_unstable_by_key(|sym| sym.0);
+        support.dedup();
+        let slot_of = syms
+            .iter()
+            .map(|sym| {
+                let slot = support.binary_search_by_key(&sym.0, |s| s.0);
+                slot.expect("outcome symbol is in the support") as u32
+            })
+            .collect();
+        Self { support, slot_of }
+    }
+
+    /// This tick's distribution from the stream's marginal (`probs`,
+    /// outcome by outcome) into `out`: the entries some nonzero outcome
+    /// reaches, ascending. Bit-identical to [`union_convolution`] over
+    /// the one stream, which pushes `1.0 * p_d` per nonzero outcome,
+    /// stable-sorts and merges left to right: each entry here sums its
+    /// outcomes in ascending `d` from `+0.0`, `0.0 + x == x` for the
+    /// first nonzero `x`, and the ±0.0 outcomes the convolution skips
+    /// change no bit of a sum that started at `+0.0`.
+    fn fill(
+        &self,
+        probs: impl Iterator<Item = f64>,
+        out: &mut Vec<(SymbolSet, f64)>,
+        hit: &mut Vec<bool>,
+    ) {
+        out.clear();
+        out.extend(self.support.iter().map(|&sym| (sym, 0.0)));
+        hit.clear();
+        hit.resize(self.support.len(), false);
+        for (&slot, p) in self.slot_of.iter().zip(probs) {
+            out[slot as usize].1 += p;
+            hit[slot as usize] |= p != 0.0;
+        }
+        let mut hits = hit.iter();
+        out.retain(|_| *hits.next().expect("one flag per entry"));
     }
 }
 
@@ -170,11 +236,16 @@ struct IndepChain {
     next_mass: Vec<f64>,
     accept: f64,
     sig: SigKey,
+    /// Set when the chain reads exactly one stream: its distribution
+    /// comes straight from the marginal, never through the cache.
+    proj: Option<Projection>,
     /// Per-tick `(local slot, probability)` scratch.
     slots: Vec<(u32, f64)>,
     /// Symbol-distribution buffers for cache-less stepping.
     dist_buf: Vec<(SymbolSet, f64)>,
     tmp_buf: Vec<(SymbolSet, f64)>,
+    /// Per projection entry: did a nonzero outcome reach it this tick?
+    hit: Vec<bool>,
 }
 
 /// Which representation the evaluator uses for the hidden chain.
@@ -316,12 +387,14 @@ impl ChainEvaluator {
             let accept = accept_scan(&mass, local.accepting_mask());
             let indep = IndepChain {
                 sig: SigKey::new(&streams, &syms),
+                proj: (syms.len() == 1).then(|| Projection::new(&syms[0])),
                 mass,
                 next_mass: Vec::new(),
                 accept,
                 slots: Vec::new(),
                 dist_buf: Vec::new(),
                 tmp_buf: Vec::new(),
+                hit: Vec::new(),
             };
             (1, Vec::new(), Repr::Indep(indep))
         };
@@ -478,17 +551,14 @@ impl ChainEvaluator {
         }
     }
 
-    /// The `(stream index, outcome → symbol set)` signature when this
-    /// chain reads exactly one independent stream — the shape whose
-    /// symbol distribution the batcher can fill straight from the staged
-    /// marginal, bypassing the per-chain convolution cache (the
-    /// single-stream union-convolution is just that mapping).
-    pub(crate) fn soa_single_stream(&self) -> Option<(usize, &[SymbolSet])> {
+    /// The `(stream index, projection)` when this chain reads exactly
+    /// one independent stream — the shape whose symbol distribution the
+    /// batcher fills straight from the staged marginal, bypassing the
+    /// per-chain convolution cache.
+    pub(crate) fn soa_single_stream(&self) -> Option<(usize, &Projection)> {
         match &self.repr {
-            Repr::Indep(_) if self.streams.len() == 1 => {
-                Some((self.streams[0], self.syms[0].as_slice()))
-            }
-            _ => None,
+            Repr::Indep(k) => k.proj.as_ref().map(|proj| (self.streams[0], proj)),
+            Repr::Markov(_) => None,
         }
     }
 
@@ -565,30 +635,29 @@ impl ChainEvaluator {
         }
     }
 
-    /// Commits one batched step for this chain: lane `lane` of the
-    /// `lanes`-wide `next` matrix becomes the mass vector, the accepting
-    /// sum is clamped exactly like [`accept_scan`], and the clock
-    /// advances. The mass the batcher routed was gathered from this
-    /// chain at the start of the tick, so between ticks the chain
-    /// remains the single source of truth (checkpoints are unaffected).
-    pub(crate) fn soa_commit_strided(
+    /// Writes back `ticks` batched steps a group kept resident: lane
+    /// `lane` of the `lanes`-wide `mass` matrix becomes the mass vector,
+    /// the accepting sum is clamped exactly like [`accept_scan`], and
+    /// the clock advances by `ticks`. Between those ticks the group's
+    /// matrices, not this chain, held the state; [`crate::soa::settle`]
+    /// calls this before anything reads or moves the chain.
+    pub(crate) fn soa_write_back(
         &mut self,
-        next: &[f64],
+        mass: &[f64],
         lane: usize,
         lanes: usize,
         accept_sum: f64,
+        ticks: u32,
     ) {
         let k = match &mut self.repr {
             Repr::Indep(k) => k,
-            Repr::Markov(_) => unreachable!("soa_commit_strided on a Markov chain"),
+            Repr::Markov(_) => unreachable!("soa_write_back on a Markov chain"),
         };
-        let n_states = next.len() / lanes.max(1);
-        k.next_mass.clear();
-        k.next_mass
-            .extend((0..n_states).map(|q| next[q * lanes + lane]));
-        std::mem::swap(&mut k.mass, &mut k.next_mass);
+        let n_states = mass.len() / lanes.max(1);
+        k.mass.clear();
+        k.mass.extend((0..n_states).map(|q| mass[q * lanes + lane]));
         k.accept = accept_sum.clamp(0.0, 1.0) + 0.0;
-        self.t += 1;
+        self.t += ticks;
     }
 
     /// Exports the forward state (timestep, per-DFA-state mass, and the
@@ -687,13 +756,27 @@ impl ChainEvaluator {
             Repr::Indep(k) => k,
             Repr::Markov(_) => unreachable!("step_independent on a Markov chain"),
         };
-        // This tick's distribution over symbol sets: cached per signature
-        // when a per-tick cache is supplied, recomputed into the chain's
-        // reusable buffers otherwise. Either way a flat sorted vector —
-        // sorted application keeps floating-point accumulation order (and
+        // This tick's distribution over symbol sets: projected from the
+        // marginal for a single-stream chain, cached per signature when a
+        // per-tick cache is supplied, recomputed into the chain's reusable
+        // buffers otherwise. Either way a flat sorted vector — sorted
+        // application keeps floating-point accumulation order (and
         // therefore the engine's output) fully deterministic.
-        let dist: &[(SymbolSet, f64)] = match cache {
-            Some(c) => {
+        let dist: &[(SymbolSet, f64)] = match (&k.proj, cache) {
+            (Some(proj), _) => {
+                match *source {
+                    MarginalSource::Db(db) => {
+                        let marginal = db.streams()[streams[0]].marginal_at(t);
+                        let probs = marginal.probs().iter().copied();
+                        proj.fill(probs, &mut k.dist_buf, &mut k.hit);
+                    }
+                    MarginalSource::Frame(frame) => {
+                        proj.fill(frame.stream(streams[0]), &mut k.dist_buf, &mut k.hit)
+                    }
+                }
+                &k.dist_buf
+            }
+            (None, Some(c)) => {
                 let idx = match c.lookup(&k.sig) {
                     Some(idx) => idx,
                     None => c.insert_with(k.sig.clone(), |out, tmp| {
@@ -702,7 +785,7 @@ impl ChainEvaluator {
                 };
                 c.dist(idx)
             }
-            None => {
+            (None, None) => {
                 union_convolution(streams, syms, source, t, &mut k.dist_buf, &mut k.tmp_buf);
                 &k.dist_buf
             }
@@ -1209,13 +1292,21 @@ mod tests {
         }
     }
 
-    /// The frame is a transpose: across a block boundary and unequal
-    /// domains, row `d` holds every stream's outcome `d` (`+0.0` past a
-    /// shorter domain) and each stream reads back exactly its marginal,
-    /// also after a refill.
+    /// The frame is a transpose: across a block boundary, with unequal
+    /// domains and with full blocks of equal ones, row `d` holds every
+    /// stream's outcome `d` (`+0.0` past a shorter domain) and each
+    /// stream reads back exactly its marginal, also after a refill.
     #[test]
     fn tick_frame_is_outcome_major() {
-        let lens: Vec<usize> = (0..19).map(|s| 2 + s % 4).collect();
+        for lens in [
+            (0..19).map(|s| 2 + s % 4).collect::<Vec<usize>>(),
+            (0..19).map(|s| if s < 16 { 5 } else { 3 }).collect(),
+        ] {
+            check_frame_transpose(lens);
+        }
+    }
+
+    fn check_frame_transpose(lens: Vec<usize>) {
         let mut frame = TickFrame::new(lens.clone());
         for round in 0..2 {
             let marginals: Vec<Vec<f64>> = lens
@@ -1256,8 +1347,40 @@ mod tests {
         };
         let next = vec![0.5; n];
         let before = scans();
-        chain.soa_commit_strided(&next, 0, 1, 0.25);
+        chain.soa_write_back(&next, 0, 1, 0.25, 3);
         assert_eq!(scans(), before);
         assert_eq!(chain.accept_prob(), 0.25);
+        assert_eq!(chain.next_t(), 4);
+    }
+
+    /// A single-stream chain's projection reproduces the union
+    /// convolution bit for bit, entries included: signed zeros, tiny
+    /// negatives that cancel to a zero sum, and outcomes sharing a
+    /// symbol set.
+    #[test]
+    fn projection_matches_union_convolution() {
+        let a = SymbolSet(0b01);
+        let c = SymbolSet(0b10);
+        let syms = [a, SymbolSet::EMPTY, a, c, SymbolSet::EMPTY];
+        let proj = Projection::new(&syms);
+        assert_eq!(proj.support, vec![SymbolSet::EMPTY, a, c]);
+        let cases: [[f64; 5]; 4] = [
+            [0.25, 0.5, 0.125, 0.0, 0.125],
+            [-0.0, 0.0, -0.0, 1.0, 0.0],
+            [1e-7, 0.0, -1e-7, 0.3, 0.7],
+            [0.1, 0.2, 0.3, 0.15, 0.25],
+        ];
+        let (mut got, mut hit) = (Vec::new(), Vec::new());
+        let (mut want, mut tmp) = (Vec::new(), Vec::new());
+        for probs in cases {
+            proj.fill(probs.iter().copied(), &mut got, &mut hit);
+            want.clear();
+            want.push((SymbolSet::EMPTY, 1.0));
+            convolve_stream(probs.iter().copied(), &syms, &mut want, &mut tmp);
+            let bits = |d: &[(SymbolSet, f64)]| -> Vec<(u64, u64)> {
+                d.iter().map(|(s, p)| (s.0, p.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "{probs:?}");
+        }
     }
 }

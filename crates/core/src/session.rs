@@ -386,7 +386,7 @@ fn run_shard_epoch(
     worker: Option<usize>,
 ) -> Result<KernelTickStats, EngineError> {
     let span = crate::trace::span("worker_step")
-        .with("chains", shard.chains.len() as u64)
+        .with("chains", shard.len() as u64)
         .with("ticks", ticks.len() as u64);
     let (failpoint, _span) = match worker {
         Some(w) => ("worker_step", span.with("worker", w as u64)),
@@ -607,7 +607,7 @@ impl RealTimeSession {
     pub fn force_interpreter(&mut self, on: bool) {
         for slot in &mut self.shards {
             if let Some(shard) = slot.as_mut() {
-                for (_, chain) in &mut shard.chains {
+                for (_, chain) in shard.chains() {
                     chain.force_interpreter(on);
                 }
             }
@@ -692,19 +692,19 @@ impl RealTimeSession {
         self.stats.record_grounding(n_chains as u64);
         self.stats
             .register_query(query_index, name, n_chains as u64);
-        self.repartition(set.chains);
+        self.repartition(set.into_chains());
         self.record_automata_stats();
         Ok((QueryId(query_index), series))
     }
 
     /// Recounts how many chains run on a shared compiled automaton and
     /// how many distinct automata back them, publishing both gauges.
-    fn record_automata_stats(&self) {
+    fn record_automata_stats(&mut self) {
         let mut ids: Vec<usize> = Vec::new();
         let mut attached = 0u64;
-        for slot in &self.shards {
-            let Some(shard) = slot.as_ref() else { continue };
-            for (_, chain) in &shard.chains {
+        for slot in &mut self.shards {
+            let Some(shard) = slot.as_mut() else { continue };
+            for (_, chain) in shard.chains().iter() {
                 let id = chain.automaton_id();
                 attached += 1;
                 if !ids.contains(&id) {
@@ -722,7 +722,7 @@ impl RealTimeSession {
         let mut all: Vec<(usize, ChainEvaluator)> = Vec::with_capacity(self.total_chains);
         for slot in &mut self.shards {
             let shard = slot.take().expect("repartition requires all shards home");
-            all.extend(shard.chains);
+            all.extend(shard.into_chains());
         }
         all.extend(appended);
         debug_assert_eq!(all.len(), self.total_chains);
@@ -753,7 +753,7 @@ impl RealTimeSession {
         let mut all: Vec<(usize, ChainEvaluator)> = Vec::with_capacity(self.total_chains);
         for slot in &mut self.shards {
             let shard = slot.take().expect("all shards home between ticks");
-            all.extend(shard.chains);
+            all.extend(shard.into_chains());
         }
         self.shards = (0..n).map(|_| Some(ChainSet::new(0, Vec::new()))).collect();
         self.repartition(all);
@@ -999,12 +999,13 @@ impl RealTimeSession {
     }
 
     /// Every chain's forward state, in global chain order.
-    fn export_chains(&self) -> Result<Vec<ChainState>, EngineError> {
+    fn export_chains(&mut self) -> Result<Vec<ChainState>, EngineError> {
         let mut chains = vec![None; self.total_chains];
-        for slot in &self.shards {
-            let shard = slot.as_ref().expect("all shards home between ticks");
-            for (offset, (_, chain)) in shard.chains.iter().enumerate() {
-                chains[shard.start + offset] = Some(chain.export_state()?);
+        for slot in &mut self.shards {
+            let shard = slot.as_mut().expect("all shards home between ticks");
+            let start = shard.start;
+            for (offset, (_, chain)) in shard.chains().iter().enumerate() {
+                chains[start + offset] = Some(chain.export_state()?);
             }
         }
         Ok(chains
@@ -1150,7 +1151,7 @@ impl RealTimeSession {
     fn take_busy_shard(&mut self, w: usize) -> Option<ChainSet> {
         let slot = &mut self.shards[w];
         match slot.take().expect("all shards home between ticks") {
-            shard if shard.chains.is_empty() => {
+            shard if shard.is_empty() => {
                 *slot = Some(shard);
                 None
             }
@@ -1170,7 +1171,7 @@ impl RealTimeSession {
                 return;
             }
         };
-        let (n, total) = (shard.chains.len(), self.total_chains);
+        let (n, total) = (shard.len(), self.total_chains);
         for (j, tick_probs) in shard.probs.chunks_exact(n).enumerate() {
             let at = j * total + shard.start;
             out.probs[at..at + n].copy_from_slice(tick_probs);
@@ -1505,7 +1506,7 @@ impl RealTimeSession {
                     )))
                 }
                 None => history
-                    .get_or_insert_with(|| HistoryFrames::new(&self.db, &set.chains))
+                    .get_or_insert_with(|| HistoryFrames::new(&self.db, set.chains()))
                     .fill(&self.db, t),
             };
             kernel.add(&set.step_epoch(
@@ -1565,8 +1566,9 @@ impl RealTimeSession {
         let mut slots: Vec<Option<(usize, ChainEvaluator)>> =
             (0..self.total_chains).map(|_| None).collect();
         for shard in self.shards.iter_mut().filter_map(Option::take) {
-            for (offset, entry) in shard.chains.into_iter().enumerate() {
-                slots[shard.start + offset] = Some(entry);
+            let start = shard.start;
+            for (offset, entry) in shard.into_chains().into_iter().enumerate() {
+                slots[start + offset] = Some(entry);
             }
         }
         // A surviving shard finished the epoch, but only retains its
@@ -1635,16 +1637,16 @@ impl RealTimeSession {
             .partition(|(_, (_, c))| c.next_t() < level);
         let (mut gs, behind): (Vec<usize>, Vec<_>) = behind.into_iter().unzip();
         let mut set = ChainSet::new(0, behind);
-        if !set.chains.is_empty() {
+        if !set.is_empty() {
             self.replay(&mut set, 0, level, |_, _| {})?;
         }
-        let mut chains = set.chains;
+        let mut chains = set.into_chains();
         for (g, entry) in level_with {
             gs.push(g);
             chains.push(entry);
         }
         let mut set = ChainSet::new(0, chains);
-        if !set.chains.is_empty() {
+        if !set.is_empty() {
             self.replay(&mut set, level, target, |t, tick_probs| {
                 if t >= base {
                     for (&g, &p) in gs.iter().zip(tick_probs) {
@@ -1653,7 +1655,7 @@ impl RealTimeSession {
                 }
             })?;
         }
-        for (g, entry) in gs.into_iter().zip(set.chains) {
+        for (g, entry) in gs.into_iter().zip(set.into_chains()) {
             slots[g] = Some(entry);
         }
         let all: Vec<(usize, ChainEvaluator)> = slots
@@ -1989,8 +1991,8 @@ mod tests {
         for slot in shards {
             let shard = slot.as_ref().unwrap();
             assert_eq!(shard.start, covered);
-            covered += shard.chains.len();
-            assert!((1..=2).contains(&shard.chains.len()));
+            covered += shard.len();
+            assert!((1..=2).contains(&shard.len()));
         }
         assert_eq!(covered, 5);
     }
@@ -2506,7 +2508,7 @@ mod tests {
         let covered: usize = restored
             .shards
             .iter()
-            .map(|s| s.as_ref().unwrap().chains.len())
+            .map(|s| s.as_ref().unwrap().len())
             .sum();
         assert_eq!(covered, 5);
     }
@@ -2558,5 +2560,186 @@ mod tests {
         assert_eq!(snap.tick_latency.count, 2);
         let json = snap.to_json();
         assert!(json.contains("\"ticks\":2"));
+    }
+
+    // -----------------------------------------------------------------
+    // Group-resident state: between ticks a batched group, not its
+    // chains, holds the lanes' state. Every path that reads or moves the
+    // chains must first write it back.
+    // -----------------------------------------------------------------
+
+    /// People in [`crowd_db`]: enough lanes per query for SoA groups.
+    const CROWD: usize = 8;
+    const CROWD_QUERIES: [(&str, &str); 2] = [
+        ("x", "At(p,'a') ; At(p,'c')"),
+        ("k", "At(p,'a') ; (At(p, l))+{p | Hallway(l)} ; At(p,'c')"),
+    ];
+
+    fn crowd_db() -> Database {
+        let mut db = Database::new();
+        db.declare_stream("At", &["person"], &["loc"]).unwrap();
+        db.declare_relation("Hallway", 1).unwrap();
+        let i = db.interner().clone();
+        db.insert_relation_tuple("Hallway", lahar_model::tuple([i.intern("h")]))
+            .unwrap();
+        for p in 0..CROWD {
+            let b = StreamBuilder::new(&i, "At", &[&format!("p{p}")], &["a", "h", "c"]);
+            db.add_stream(b.independent(vec![]).unwrap()).unwrap();
+        }
+        db
+    }
+
+    /// A crowd session with [`CROWD_QUERIES`] registered; `forced`
+    /// pins every chain to the interpreter (the reference twin).
+    fn crowd_session(config: SessionConfig, forced: bool) -> RealTimeSession {
+        let mut session = RealTimeSession::with_config(crowd_db(), config).unwrap();
+        for (name, src) in CROWD_QUERIES {
+            session.register(name, src).unwrap();
+        }
+        session.force_interpreter(forced);
+        session
+    }
+
+    /// Tick `t`'s marginals: a rotation over a, h, c that differs per
+    /// person.
+    fn crowd_batch(s: &RealTimeSession, t: usize) -> Vec<(StreamId, Marginal)> {
+        let vals = ["a", "h", "c"];
+        (0..CROWD)
+            .map(|p| {
+                let i = s.database().interner();
+                let b = StreamBuilder::new(i, "At", &[&format!("p{p}")], &vals);
+                let (v, w) = (vals[(t + p) % 3], vals[(t + 2 * p + 1) % 3]);
+                let m = if v == w {
+                    b.marginal(&[(v, 0.55)])
+                } else {
+                    b.marginal(&[(v, 0.5), (w, 0.25)])
+                };
+                (sid(s, p), m.unwrap())
+            })
+            .collect()
+    }
+
+    /// Stages and closes tick `t`, returning the alerts' bits.
+    fn crowd_tick(s: &mut RealTimeSession, t: usize) -> Vec<(usize, u32, u64)> {
+        let batch = crowd_batch(s, t);
+        s.stage_batch(batch).unwrap();
+        alert_bits(&s.tick().unwrap())
+    }
+
+    fn alert_bits(alerts: &[Alert]) -> Vec<(usize, u32, u64)> {
+        alerts
+            .iter()
+            .map(|a| (a.query.index(), a.t, a.probability.to_bits()))
+            .collect()
+    }
+
+    /// The most ticks any shard's group holds back from its chains.
+    fn max_pending(s: &RealTimeSession) -> u32 {
+        s.shards
+            .iter()
+            .flatten()
+            .map(ChainSet::max_pending)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Closes ticks `from..to` on both sessions, asserting equal alerts.
+    fn crowd_ticks_agree(
+        a: &mut RealTimeSession,
+        b: &mut RealTimeSession,
+        ticks: std::ops::Range<usize>,
+    ) {
+        for t in ticks {
+            assert_eq!(crowd_tick(a, t), crowd_tick(b, t), "tick {t}");
+        }
+    }
+
+    /// Ticks after which the crowd's discovery has settled and its
+    /// groups have stayed resident for at least three ticks.
+    const CROWD_WARM: usize = 12;
+
+    /// A query registered after resident ticks repartitions every
+    /// shard: the groups write back before the chains move, so the
+    /// following alerts and every chain's state match the interpreter.
+    #[test]
+    fn late_registration_after_resident_ticks_matches_the_interpreter() {
+        let mut kern = crowd_session(SessionConfig::default(), false);
+        let mut intp = crowd_session(SessionConfig::default(), true);
+        crowd_ticks_agree(&mut kern, &mut intp, 0..CROWD_WARM);
+        assert!(max_pending(&kern) >= 3, "no group stayed resident");
+        for s in [&mut kern, &mut intp] {
+            s.register("late", "At(p,'h') ; At(p,'c')").unwrap();
+        }
+        intp.force_interpreter(true);
+        crowd_ticks_agree(&mut kern, &mut intp, CROWD_WARM..CROWD_WARM + 6);
+        assert_eq!(kern.export_chains().unwrap(), intp.export_chains().unwrap());
+    }
+
+    /// A checkpoint taken while groups are resident carries the written
+    /// back state: it equals the interpreter's, and the restored twin
+    /// answers bit-identically from there.
+    #[test]
+    fn checkpoint_after_resident_ticks_restores_bit_identically() {
+        let mut kern = crowd_session(SessionConfig::default(), false);
+        let mut intp = crowd_session(SessionConfig::default(), true);
+        crowd_ticks_agree(&mut kern, &mut intp, 0..CROWD_WARM);
+        assert!(max_pending(&kern) >= 3, "no group stayed resident");
+        let ckpt = kern.checkpoint().unwrap();
+        assert_eq!(ckpt.chains, intp.checkpoint().unwrap().chains);
+        let ckpt = Checkpoint::from_json(&ckpt.to_json()).unwrap();
+        let mut restored = RealTimeSession::restore(crowd_db(), &ckpt).unwrap();
+        for t in CROWD_WARM..CROWD_WARM + 6 {
+            let want = crowd_tick(&mut intp, t);
+            assert_eq!(crowd_tick(&mut kern, t), want, "tick {t}");
+            assert_eq!(crowd_tick(&mut restored, t), want, "restored tick {t}");
+        }
+        let want = intp.export_chains().unwrap();
+        assert_eq!(kern.export_chains().unwrap(), want);
+        assert_eq!(restored.export_chains().unwrap(), want);
+    }
+
+    /// A fault that loses one shard while the other's groups are
+    /// resident: recovery reads the surviving shard's answers from its
+    /// written-back chains and rebuilds the lost one, and the session
+    /// then tracks the interpreter bit for bit.
+    #[test]
+    fn recover_after_resident_ticks_matches_the_interpreter() {
+        let config = SessionConfig::builder()
+            .tick_mode(TickMode::Parallel)
+            .n_workers(2)
+            .build()
+            .unwrap();
+        let mut kern = crowd_session(config, false);
+        let mut intp = crowd_session(SessionConfig::default(), true);
+        crowd_ticks_agree(&mut kern, &mut intp, 0..CROWD_WARM);
+        assert_eq!(kern.shards.len(), 2);
+        assert!(max_pending(&kern) >= 3, "no group stayed resident");
+
+        // Fault injection by hand, as a worker fault in shard 1 leaves
+        // the session: the tick's marginals recorded, shard 0 stepped
+        // (its groups still resident), shard 1 lost.
+        let t = CROWD_WARM;
+        let want = crowd_tick(&mut intp, t);
+        let batch = crowd_batch(&kern, t);
+        kern.stage_batch(batch).unwrap();
+        let lens = kern.db.streams().iter().map(|s| s.domain().len()).collect();
+        let mut frame = TickFrame::new(lens);
+        frame.fill(|s| kern.staged[s].as_ref().unwrap().probs());
+        for idx in 0..kern.staged.len() {
+            let marginal = kern.staged[idx].take().unwrap();
+            kern.db.push_marginal_at(idx, marginal).unwrap();
+        }
+        let n_queries = kern.queries.len();
+        let frames = [Arc::new(frame)];
+        let shard = kern.shards[0].as_mut().unwrap();
+        run_shard_epoch(shard, &frames, n_queries, &mut SymCache::new(), None).unwrap();
+        assert!(kern.shards[0].as_ref().unwrap().max_pending() >= 4);
+        kern.shards[1] = None;
+        kern.epoch_in_flight = 1;
+        kern.poisoned = true;
+
+        assert_eq!(alert_bits(&kern.recover().unwrap()), want);
+        crowd_ticks_agree(&mut kern, &mut intp, t + 1..t + 6);
+        assert_eq!(kern.export_chains().unwrap(), intp.export_chains().unwrap());
     }
 }

@@ -24,11 +24,25 @@
 //!   kept while every chain's [`ChainEvaluator::soa_stamp`] is unchanged
 //!   — every tick once discovery has settled — and each batch keeps its
 //!   cross-tick caches (shape, transition columns, resident mass).
-//! * **Fill outcome-major.** Batches whose lanes each read one stream
-//!   through the same outcome table fill `pmat` straight from the tick's
+//! * **Fill outcome-major, run by run.** Batches whose lanes each read
+//!   one stream through the same outcome projection
+//!   ([`crate::chain::Projection`]) fill `pmat` straight from the tick's
 //!   [`TickFrame`]: for each outcome `d`, frame row `d` is added into
-//!   `pmat` row `slot_of[d]` across all lanes — one slice add when the
-//!   lanes' streams are contiguous, a gather otherwise.
+//!   `pmat` row `slot_of[d]`, one slice add per run of lanes whose
+//!   streams are contiguous. A layout split (one query's lanes spread
+//!   over two numberings) leaves holes in a group's streams; each hole
+//!   only starts a new run. Every row is added, whatever it holds, and
+//!   a slot's inputs are scanned for a nonzero only until the slot turns
+//!   active.
+//! * **Keep the state in the group.** A group that commits through the
+//!   fused path keeps its `next` matrix and accepting sums as the truth
+//!   and reports each lane's probability from them; its chains' mass,
+//!   accepting mass and clock go stale. The next tick swaps the matrix
+//!   back in without reading a chain. [`settle`] writes the state back
+//!   into the chains before anything reads or moves them: a replan, a
+//!   discovery or scalar fallback inside the group, and every access
+//!   through [`crate::streaming::ChainSet::chains`] (checkpoint export,
+//!   repartition, recovery, interpreter toggles).
 //!
 //! # Bit-identity
 //!
@@ -39,15 +53,22 @@
 //!   `(state ascending, dist entry ascending)` order — the same order
 //!   as the scalar loop, because each lane's distribution is a sorted
 //!   subsequence of the sorted union support — and each `pmat` cell
-//!   sums its outcomes in ascending order, as the scalar convolution
-//!   merges them.
+//!   sums its outcomes in ascending order from `+0.0`, as the scalar
+//!   projection does.
 //! * Union-support entries a lane doesn't have get probability `+0.0`,
-//!   and zero-mass rows are routed rather than skipped, so padding only
-//!   ever adds `±0.0`. Every accumulator starts at `+0.0` and so is
-//!   never `-0.0` (a sum that cancels rounds to `+0.0`), and adding
-//!   `±0.0` to anything but `-0.0` changes no bit — padding is
-//!   invisible, tiny negative probabilities (which `validate_dist`
-//!   admits) included.
+//!   and every frame row is added whether or not it holds a nonzero, so
+//!   padding and zero outcomes only ever add `±0.0`. Every accumulator
+//!   starts at `+0.0` and so is never `-0.0` (a sum that cancels rounds
+//!   to `+0.0`), and adding `±0.0` to anything but `-0.0` changes no
+//!   bit — padding is invisible, tiny negative probabilities (which
+//!   `validate_dist` admits) included.
+//! * Whether an entry is routed at all (`active`) comes from the inputs,
+//!   not the sums: an entry whose nonzero inputs cancel to `+0.0` is
+//!   still routed, as the scalar path routes it.
+//! * A resident group's matrix holds exactly the columns a commit would
+//!   have written to the chains, and each lane's probability is its
+//!   accepting sum clamped as the chain would clamp it, so keeping the
+//!   state in the group changes no bit.
 //! * The SIMD kernels are element-wise multiply-then-add (never FMA),
 //!   so each lane's arithmetic is IEEE-identical to scalar.
 //!
@@ -60,7 +81,7 @@
 //! automaton's reachable closure discovered, which the freeze
 //! heuristics reach within a few ticks — every tick takes the fast path.
 
-use crate::chain::{ChainEvaluator, TickFrame};
+use crate::chain::{ChainEvaluator, Projection, TickFrame};
 use crate::error::EngineError;
 use crate::kernel::{KernelTickStats, SymCache, Via, UNKNOWN};
 use crate::simd;
@@ -78,13 +99,12 @@ const LANE_BLOCK: usize = 64;
 
 /// Reusable per-shard scratch for the batched path. Carried inside the
 /// shard so allocations survive across ticks (and travel with the shard
-/// to worker threads); holds no chain state — chains remain the single
-/// source of truth between ticks, so checkpoint export/restore is
-/// untouched by batching.
+/// to worker threads), and between ticks the state of resident groups
+/// (see [`Group::pending`]).
 ///
 /// The scratch belongs to one shard's chain list: the session gives a
 /// shard a fresh scratch whenever it rebuilds the list (repartition,
-/// restore, recovery).
+/// restore, recovery), after settling the old one.
 #[derive(Default)]
 pub(crate) struct SoaScratch {
     groups: Vec<Group>,
@@ -95,11 +115,17 @@ pub(crate) struct SoaScratch {
     /// `singles` were planned. The plan stands while every stamp still
     /// matches; empty means no plan.
     stamps: Vec<Option<u64>>,
-    /// Monotone batched-tick counter; see [`Group::commit_seq`].
-    seq: u64,
     /// How many times a plan was built (read by unit tests).
     #[cfg(test)]
     plans_built: u64,
+}
+
+#[cfg(test)]
+impl SoaScratch {
+    /// The most ticks any group holds uncommitted to its chains.
+    pub(crate) fn max_pending(&self) -> u32 {
+        self.groups.iter().map(|g| g.pending).max().unwrap_or(0)
+    }
 }
 
 /// One batch: chains sharing an automaton and a local state numbering.
@@ -144,21 +170,19 @@ struct Group {
     /// (group slots are reused across plans, so the slot's key can
     /// change under a cache built for another automaton).
     cols_ptr: usize,
-    /// Scratch for this tick's support, compared against the cached
-    /// `support` before invalidating the column cache.
-    support_new: Vec<SymbolSet>,
     /// The lane list the cached shape below was verified against. Lanes
     /// and their chains' symbol tables are immutable per (query,
     /// binding), so an unchanged lane list keeps the whole phase-1 shape
-    /// — uniformity, `stream_idx`, `support`, `slot_of` — valid.
+    /// — uniformity, `stream_idx`, `runs`, `support`, `slot_of` — valid.
     shape_lanes: Vec<usize>,
     /// Cached [`single_stream_shape`] verdict for `shape_lanes`.
     shape_uniform: bool,
     /// Uniform shape: per lane, its single stream's index in the frame.
     stream_idx: Vec<u32>,
-    /// Uniform shape: `Some(s0)` when `stream_idx` is `s0, s0 + 1, …`, so
-    /// a frame row fills a `pmat` row with one slice add.
-    stream_base: Option<usize>,
+    /// Uniform shape: `(first lane, first stream, length)` per maximal
+    /// run of lanes whose streams are consecutive, so a frame row fills
+    /// a `pmat` row with one slice add per run.
+    runs: Vec<(usize, usize, usize)>,
     /// Accepting local states (ascending), rebuilt with the layout.
     acc_rows: Vec<u32>,
     /// Per support entry: does any lane carry nonzero probability on it?
@@ -176,14 +200,12 @@ struct Group {
     acc_words: Vec<u64>,
     /// Scratch for deduplicating distribution indices.
     uniq: Vec<u32>,
-    /// The [`SoaScratch::seq`] value of the last tick this group
-    /// committed through the fused fast path (0 = never). When the
-    /// immediately preceding tick committed with the same lanes and
-    /// layout, the group's `next` matrix *is* every lane's current mass
-    /// vector — `soa_commit_strided` wrote the chains from exactly
-    /// these columns — so the gather swaps it in instead of re-reading
-    /// every chain. Cleared on any scalar or split exit.
-    commit_seq: u64,
+    /// Ticks committed through the fused path since the lanes' chains
+    /// were last written. While nonzero the group is *resident*: `next`
+    /// holds every lane's mass vector and `acc` its accepting sum, and
+    /// the chains lag by this many ticks. The next tick swaps `next` in
+    /// instead of reading the chains; [`settle_group`] writes it back.
+    pending: u32,
 }
 
 /// FNV-1a over a layout (local → shared id map) for cheap grouping;
@@ -232,8 +254,6 @@ pub(crate) fn step_shard_chains(
     let mut kernel = KernelTickStats::default();
 
     plan_groups(chains, scratch);
-    scratch.seq = scratch.seq.wrapping_add(1);
-    let seq = scratch.seq;
 
     // Step the batches (each group is homogeneous in layout, not
     // necessarily in query, so per-query time is apportioned per lane).
@@ -242,7 +262,7 @@ pub(crate) fn step_shard_chains(
             .with("lanes", g.lanes.len() as u64)
             .with("queries", g.lane_queries.len() as u64);
         let started = Instant::now();
-        step_group(g, chains, frame, cache, &mut kernel, probs, seq, true)?;
+        step_group(g, chains, frame, cache, &mut kernel, probs, true)?;
         let per_lane = elapsed_ns(started) / g.lanes.len().max(1) as u64;
         for &(qi, n) in &g.lane_queries {
             query_ns[qi] = query_ns[qi].saturating_add(per_lane * n);
@@ -266,13 +286,39 @@ pub(crate) fn step_shard_chains(
     Ok(kernel)
 }
 
+/// Writes every resident group's state back into its chains, after
+/// which the chains are the truth again (and the next tick reads them).
+/// Called before anything reads or moves a shard's chains.
+pub(crate) fn settle(chains: &mut [(usize, ChainEvaluator)], scratch: &mut SoaScratch) {
+    for g in &mut scratch.groups {
+        settle_group(g, chains);
+    }
+}
+
+/// [`settle`] for one group: lane `i`'s column of `next` and accepting
+/// sum `acc[i]` go to chain `lanes[i]`, whose clock advances by the
+/// pending ticks.
+fn settle_group(g: &mut Group, chains: &mut [(usize, ChainEvaluator)]) {
+    if g.pending == 0 {
+        return;
+    }
+    let lanes = g.lanes.len();
+    for (lane, &idx) in g.lanes.iter().enumerate() {
+        chains[idx]
+            .1
+            .soa_write_back(&g.next, lane, lanes, g.acc[lane], g.pending);
+    }
+    g.pending = 0;
+}
+
 /// Partitions the shard's chains into layout-homogeneous groups plus a
 /// scalar leftover list, reusing the scratch's allocations. The plan
 /// only depends on each chain's batch eligibility and local numbering,
 /// so it is kept while every chain's [`ChainEvaluator::soa_stamp`] is
 /// unchanged — in steady state, every tick — and group slots keep their
-/// cross-tick caches (shape, transition columns, residency).
-fn plan_groups(chains: &[(usize, ChainEvaluator)], scratch: &mut SoaScratch) {
+/// cross-tick caches (shape, transition columns, residency). A new plan
+/// first settles the old groups: it reassigns their slots.
+fn plan_groups(chains: &mut [(usize, ChainEvaluator)], scratch: &mut SoaScratch) {
     if scratch.stamps.len() == chains.len()
         && !chains.is_empty()
         && chains
@@ -282,6 +328,7 @@ fn plan_groups(chains: &[(usize, ChainEvaluator)], scratch: &mut SoaScratch) {
     {
         return;
     }
+    settle(chains, scratch);
     #[cfg(test)]
     {
         scratch.plans_built += 1;
@@ -357,21 +404,21 @@ fn plan_groups(chains: &[(usize, ChainEvaluator)], scratch: &mut SoaScratch) {
     }
 }
 
-/// The shared outcome → symbol-set table when every lane of the group
-/// reads exactly one independent stream through the same table (the
+/// The shared outcome projection when every lane of the group reads
+/// exactly one independent stream through the same symbol table (the
 /// shape every per-key grounding of a single-stream query produces).
 fn single_stream_shape<'c>(
     g: &Group,
     chains: &'c [(usize, ChainEvaluator)],
-) -> Option<&'c [SymbolSet]> {
-    let (_, rep_syms) = chains[*g.lanes.first()?].1.soa_single_stream()?;
+) -> Option<&'c Projection> {
+    let (_, rep) = chains[*g.lanes.first()?].1.soa_single_stream()?;
     for &idx in &g.lanes[1..] {
-        let (_, syms) = chains[idx].1.soa_single_stream()?;
-        if syms != rep_syms {
+        let (_, proj) = chains[idx].1.soa_single_stream()?;
+        if proj != rep {
             return None;
         }
     }
-    Some(rep_syms)
+    Some(rep)
 }
 
 /// Steps one batch through one tick: resolve per-lane distributions,
@@ -386,67 +433,51 @@ fn step_group(
     cache: &mut SymCache,
     kernel: &mut KernelTickStats,
     probs: &mut [f64],
-    seq: u64,
     allow_split: bool,
 ) -> Result<(), EngineError> {
     let lanes = g.lanes.len();
     // An unchanged lane list is the precondition for every cross-tick
-    // cache below (captured before the shape block refreshes it).
+    // cache below (captured before the shape block refreshes it). A
+    // resident group always has one: a replan settles first.
     let shape_ok = g.shape_lanes == g.lanes;
+    assert!(shape_ok || g.pending == 0, "resident group changed lanes");
 
     // Phases 1–2: per-lane symbol distributions on a shared sorted
     // support, as `pmat[di * lanes + lane]`.
     //
     // Fast shape: every lane reads exactly one independent stream
-    // through the same outcome → symbol-set table. The single-stream
-    // union-convolution is then just that mapping, so the support is the
-    // table's sorted distinct symbols (fixed for the group) and each
-    // lane's probabilities come straight from the tick frame — no
-    // signature hashing, no per-chain cache entry. Bit-identity: the
-    // scalar convolution pushes `(syms[d], 1.0 * p_d)` in outcome order,
-    // stable-sorts, and merges left-to-right, which is exactly
-    // `pmat[slot_of[d]] += p_d` in ascending `d` (`1.0 * x == x`, and
-    // `0.0 + x == x` for every nonzero `x`; the scalar path skips ±0.0
-    // outcomes, which add nothing to a +0.0-started sum here).
-    // Shape revalidation is a single lane-list compare in steady state:
-    // symbol tables are fixed per (query, binding), so the uniformity
-    // verdict, per-lane stream indices, union support, and slot map all
-    // survive as long as the planner produced the same lanes.
+    // through the same outcome projection, so the support is the
+    // projection's (fixed for the group) and each lane's probabilities
+    // come straight from the tick frame — no signature hashing, no
+    // per-chain cache entry — summed exactly as the scalar projection
+    // sums them. Shape revalidation is a single lane-list compare in
+    // steady state: symbol tables are fixed per (query, binding), so the
+    // uniformity verdict, per-lane stream runs, union support, and slot
+    // map all survive as long as the planner produced the same lanes.
     let support_same;
     if !shape_ok {
         let uniform = single_stream_shape(g, chains);
         g.shape_lanes.clear();
         g.shape_lanes.extend_from_slice(&g.lanes);
         g.shape_uniform = uniform.is_some();
-        if let Some(rep_syms) = uniform {
-            g.support_new.clear();
-            g.support_new.extend_from_slice(rep_syms);
-            g.support_new.sort_unstable_by_key(|sym| sym.0);
-            g.support_new.dedup();
+        if let Some(proj) = uniform {
             // An unchanged support keeps the cached transition columns
             // below alive; a changed one replaces it.
-            support_same = g.support_new == g.support;
+            support_same = proj.support == g.support;
             if !support_same {
-                std::mem::swap(&mut g.support, &mut g.support_new);
+                g.support.clone_from(&proj.support);
             }
-            g.slot_of.clear();
-            for &sym in rep_syms {
-                let slot = g
-                    .support
-                    .binary_search_by_key(&sym.0, |s| s.0)
-                    .expect("outcome symbol is in the support");
-                g.slot_of.push(slot as u32);
-            }
+            g.slot_of.clone_from(&proj.slot_of);
             g.stream_idx.clear();
-            for &idx in &g.lanes {
+            g.runs.clear();
+            for (lane, &idx) in g.lanes.iter().enumerate() {
                 let (si, _) = chains[idx].1.soa_single_stream().expect("uniform lane");
                 g.stream_idx.push(si as u32);
+                match g.runs.last_mut() {
+                    Some((_, s0, len)) if *s0 + *len == si => *len += 1,
+                    _ => g.runs.push((lane, si, 1)),
+                }
             }
-            g.stream_base = g
-                .stream_idx
-                .windows(2)
-                .all(|w| w[1] == w[0] + 1)
-                .then(|| g.stream_idx[0] as usize);
         } else {
             support_same = false;
         }
@@ -457,14 +488,14 @@ fn step_group(
     g.active.clear();
     g.pmat.clear();
     if is_uniform {
-        // Outcome-major: frame row `d` lands in `pmat` row `slot_of[d]`
-        // across all lanes at once, so each lane still sums its
-        // outcomes in ascending `d` from +0.0. A row that is ±0.0 in
-        // every lane is skipped — adding it would change no bit, since
-        // a sum started at +0.0 is never -0.0. `active` is taken from
-        // the inputs, not from the sums: tiny negative probabilities
-        // (which `validate_dist` admits) can cancel to a zero sum on an
-        // outcome the scalar path still routes.
+        // Outcome-major: frame row `d` lands in `pmat` row `slot_of[d]`,
+        // one slice add per run of lanes, so each lane still sums its
+        // outcomes in ascending `d` from +0.0. Rows are added whatever
+        // they hold — a ±0.0 changes no bit of a sum started at +0.0.
+        // `active` is taken from the inputs, not from the sums: tiny
+        // negative probabilities (which `validate_dist` admits) can
+        // cancel to a zero sum on an outcome the scalar path still
+        // routes. A slot's inputs are only scanned until it turns active.
         let s_len = g.support.len();
         g.active.resize(s_len, false);
         g.pmat.resize(s_len * lanes, 0.0);
@@ -472,23 +503,14 @@ fn step_group(
             let slot = slot as usize;
             let row = frame.row(d);
             let dst = &mut g.pmat[slot * lanes..(slot + 1) * lanes];
-            match g.stream_base {
-                Some(s0) => {
-                    let src = &row[s0..s0 + lanes];
-                    if src.iter().any(|&p| p != 0.0) {
-                        simd::add_lanes(dst, src);
-                        g.active[slot] = true;
-                    }
-                }
-                None => {
-                    let mut any = false;
-                    for (x, &si) in dst.iter_mut().zip(&g.stream_idx) {
-                        let p = row[si as usize];
-                        *x += p;
-                        any |= p != 0.0;
-                    }
-                    g.active[slot] |= any;
-                }
+            for &(lane, s, len) in &g.runs {
+                simd::add_lanes(&mut dst[lane..lane + len], &row[s..s + len]);
+            }
+            if !g.active[slot] {
+                g.active[slot] = g
+                    .runs
+                    .iter()
+                    .any(|&(_, s, len)| row[s..s + len].iter().any(|&p| p != 0.0));
             }
         }
     } else {
@@ -571,18 +593,17 @@ fn step_group(
         }
         n_states = g.l2s.len();
 
-        // Phase 3: the mass matrix. If this group committed the
-        // immediately preceding batched tick with the same lanes and
-        // layout, its `next` matrix already holds every lane's current
-        // mass vector bit-for-bit (the commit wrote the chains from
-        // exactly these columns), so swap it in instead of re-reading
-        // every chain. Occupancy is rescanned from the matrix either
-        // way — the gap re-check below needs it exact, not conservative.
-        let resident = g.commit_seq != 0
-            && g.commit_seq == seq.wrapping_sub(1)
-            && layout_same
-            && shape_ok
-            && g.next.len() == n_states * lanes;
+        // Phase 3: the mass matrix. A resident group's `next` matrix
+        // holds every lane's current mass vector, so it is swapped in
+        // without reading a chain. Its layout cannot have moved (only a
+        // discovery moves it, and that settles first); should it differ
+        // anyway, the state goes back to the chains and is gathered from
+        // there. Occupancy is rescanned from the matrix either way — the
+        // gap re-check below needs it exact, not conservative.
+        let resident = g.pending > 0 && layout_same && g.next.len() == n_states * lanes;
+        if !resident {
+            settle_group(g, chains);
+        }
         if resident {
             std::mem::swap(&mut g.mass, &mut g.next);
             g.row_occ.clear();
@@ -701,6 +722,14 @@ fn step_group(
         }
         if !discovered {
             discovered = true;
+            // Discovery reads each lane's mass from its chain, and a
+            // split or fallback steps the chains: a resident state was
+            // swapped into `mass` above (last tick's accepting sums are
+            // still in `acc`), so swap it back and hand it over first.
+            if g.pending > 0 {
+                std::mem::swap(&mut g.mass, &mut g.next);
+                settle_group(g, chains);
+            }
             // Discovery pass: per lane, in the exact scalar order, so
             // the refreshed numbering is bit-for-bit what a scalar tick
             // would have produced. A lane's entries are those of its
@@ -767,16 +796,17 @@ fn step_group(
                         )),
                     }
                 }
+                // The sub-batches last only this tick, so their state
+                // goes straight back to the chains.
                 for (_, mut sub) in parts {
-                    step_group(&mut sub, chains, frame, cache, kernel, probs, seq, false)?;
+                    step_group(&mut sub, chains, frame, cache, kernel, probs, false)?;
+                    settle_group(&mut sub, chains);
                 }
-                g.commit_seq = 0;
                 return Ok(());
             }
         }
         // Scalar fallback (discovery already ran, so these steps resolve
         // the same transitions the batch would have).
-        g.commit_seq = 0;
         for &idx in &g.lanes {
             let (_, chain) = &mut chains[idx];
             probs[idx] = chain.step_frame(frame, Some(cache))?;
@@ -786,13 +816,15 @@ fn step_group(
     }
 
     // Phases 6–8 fused, in blocks of [`LANE_BLOCK`] lanes: route, then
-    // accepting mass, then commit, all while the block's rows are
-    // cache-hot. Blocking over lanes is invisible to the arithmetic —
-    // every lane still receives its contributions in (q ascending,
-    // di ascending) order, the scalar accumulation order, and its
-    // accepting sum still adds states ascending (same order as
+    // accepting mass, then each lane's probability, all while the
+    // block's rows are cache-hot. Blocking over lanes is invisible to
+    // the arithmetic — every lane still receives its contributions in
+    // (q ascending, di ascending) order, the scalar accumulation order,
+    // and its accepting sum still adds states ascending (same order as
     // `accept_scan`). Zero-mass rows and inactive columns contribute
-    // exactly +0.0 everywhere, so skipping them is bit-invisible.
+    // exactly +0.0 everywhere, so skipping them is bit-invisible. The
+    // result stays in `next` and `acc` (the group is resident): no
+    // chain is written.
     g.next.clear();
     g.next.resize(n_states * lanes, 0.0);
     g.acc.clear();
@@ -822,14 +854,13 @@ fn step_group(
             let q = q as usize;
             simd::add_lanes(&mut g.acc[lb..le], &g.next[q * lanes + lb..q * lanes + le]);
         }
-        for lane in lb..le {
-            let (_, chain) = &mut chains[g.lanes[lane]];
-            chain.soa_commit_strided(&g.next, lane, lanes, g.acc[lane]);
-            probs[g.lanes[lane]] = chain.accept_prob();
+        for (&idx, &acc) in g.lanes[lb..le].iter().zip(&g.acc[lb..le]) {
+            // Clamped as `accept_scan` and the write-back clamp it.
+            probs[idx] = acc.clamp(0.0, 1.0) + 0.0;
         }
         lb = le;
     }
-    g.commit_seq = seq;
+    g.pending += 1;
     let n_active = g.active.iter().filter(|&&a| a).count();
     let routed = (n_states * n_active * lanes) as u64;
     if simd::dispatch().is_simd() {
@@ -886,12 +917,33 @@ mod tests {
         frame
     }
 
-    /// Steps one tick and returns how many plans the scratch has built.
-    fn tick(
+    /// A frame where stream `s` of `n` has probability `a · (s + 1) / n`
+    /// on `a` and `c` on `c` (the rest on ⊥), so lanes differ.
+    fn frame_ac(db: &Database, a: f64, c: f64) -> TickFrame {
+        let n = db.streams().len() as f64;
+        let marginals: Vec<Vec<f64>> = db
+            .streams()
+            .iter()
+            .enumerate()
+            .map(|(s, stream)| {
+                let mut probs = vec![0.0; stream.domain().len()];
+                probs[0] = a * (s + 1) as f64 / n;
+                probs[2] = c;
+                probs[stream.domain().bottom()] = 1.0 - probs[0] - c;
+                probs
+            })
+            .collect();
+        let mut frame = TickFrame::new(marginals.iter().map(Vec::len).collect());
+        frame.fill(|s| &marginals[s]);
+        frame
+    }
+
+    /// Steps one tick and returns each chain's probability, as bits.
+    fn step_probs(
         chains: &mut [(usize, ChainEvaluator)],
         frame: &TickFrame,
         scratch: &mut SoaScratch,
-    ) -> u64 {
+    ) -> Vec<u64> {
         let mut cache = SymCache::new();
         cache.begin_tick();
         let mut probs = vec![0.0; chains.len()];
@@ -906,7 +958,50 @@ mod tests {
             &mut query_ns,
         )
         .unwrap();
+        probs.iter().map(|p| p.to_bits()).collect()
+    }
+
+    /// Steps one tick and returns how many plans the scratch has built.
+    fn tick(
+        chains: &mut [(usize, ChainEvaluator)],
+        frame: &TickFrame,
+        scratch: &mut SoaScratch,
+    ) -> u64 {
+        step_probs(chains, frame, scratch);
         scratch.plans_built
+    }
+
+    /// A group that discovers a state while resident writes its state
+    /// back before the discovery reads it: every tick's probabilities
+    /// and the final chain states match the same chains stepped one at
+    /// a time through the interpreter.
+    #[test]
+    fn discovery_in_a_resident_group_matches_scalar_steps() {
+        let (db, mut chains) = people_chains();
+        let (_, mut scalar) = people_chains();
+        for (_, chain) in &mut scalar {
+            chain.force_interpreter(true);
+        }
+        let (mut scratch, mut scalar_scratch) = (SoaScratch::default(), SoaScratch::default());
+        // `a` ticks move mass between the lanes' states and stop
+        // discovering after the first few, so the group stays resident;
+        // the first `c` then discovers the accepting state.
+        const WARM: usize = 8;
+        let mut schedule: Vec<TickFrame> = (0..WARM).map(|_| frame_ac(&db, 0.5, 0.0)).collect();
+        schedule.push(frame_ac(&db, 0.25, 0.5));
+        schedule.push(frame_ac(&db, 0.5, 0.25));
+        for (t, frame) in schedule.iter().enumerate() {
+            if t == WARM {
+                assert!(scratch.max_pending() >= 3, "the group is not resident");
+            }
+            let got = step_probs(&mut chains, frame, &mut scratch);
+            let want = step_probs(&mut scalar, frame, &mut scalar_scratch);
+            assert_eq!(got, want, "tick {t}");
+        }
+        settle(&mut chains, &mut scratch);
+        for ((_, batched), (_, one_by_one)) in chains.iter().zip(&scalar) {
+            assert_eq!(batched.export_state(), one_by_one.export_state());
+        }
     }
 
     /// The plan is kept while no chain changes and rebuilt after each
@@ -956,6 +1051,8 @@ mod tests {
 
         // A changed chain list (what a repartition hands a shard, along
         // with a fresh scratch) replans.
+        // The groups hold the chains' state; settle before reading it.
+        settle(&mut chains, &mut scratch);
         let t = chains[0].1.next_t();
         let mut extra = person_chain(&db, 0);
         for _ in 0..t {

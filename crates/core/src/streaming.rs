@@ -97,10 +97,14 @@ pub(crate) fn ground(
 pub(crate) struct ChainSet {
     /// Global sequence index of `chains[0]` (a session shard's offset).
     pub(crate) start: usize,
-    /// `(query index, evaluator)` in global sequence order.
-    pub(crate) chains: Vec<(usize, ChainEvaluator)>,
-    /// Reusable SoA batch scratch ([`crate::soa`]); holds no chain
-    /// state, travels with the set to worker threads.
+    /// `(query index, evaluator)` in global sequence order. Private: a
+    /// resident SoA group holds its chains' state between ticks, so every
+    /// read goes through [`ChainSet::chains`] or
+    /// [`ChainSet::into_chains`], which settle first.
+    chains: Vec<(usize, ChainEvaluator)>,
+    /// Reusable SoA batch scratch ([`crate::soa`]); holds resident
+    /// groups' state between ticks, travels with the set to worker
+    /// threads.
     scratch: crate::soa::SoaScratch,
     /// The last stepped epoch's per-chain probabilities (tick-major,
     /// set order) and wall-clock nanoseconds per query index, as
@@ -120,6 +124,35 @@ impl ChainSet {
             probs: Vec::new(),
             query_ns: Vec::new(),
         }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.chains.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.chains.is_empty()
+    }
+
+    /// The chains, each holding its current state: resident groups
+    /// write theirs back first ([`crate::soa::settle`]), and the next
+    /// tick reads the chains again, so callers may read or change them.
+    pub(crate) fn chains(&mut self) -> &mut [(usize, ChainEvaluator)] {
+        crate::soa::settle(&mut self.chains, &mut self.scratch);
+        &mut self.chains
+    }
+
+    /// The settled chains, moved out (a repartition, or a recovery
+    /// rebuilding the shard list).
+    pub(crate) fn into_chains(mut self) -> Vec<(usize, ChainEvaluator)> {
+        crate::soa::settle(&mut self.chains, &mut self.scratch);
+        self.chains
+    }
+
+    /// See [`crate::soa::SoaScratch::max_pending`].
+    #[cfg(test)]
+    pub(crate) fn max_pending(&self) -> u32 {
+        self.scratch.max_pending()
     }
 
     /// Steps every chain through every tick of an epoch — set-major, so
@@ -245,7 +278,7 @@ impl Archived {
 
     /// Consumes the next timestep and returns `μ(q@t)` for it.
     pub(crate) fn step(&mut self, db: &Database) -> Result<f64, EngineError> {
-        if !self.set.chains.is_empty() {
+        if !self.set.is_empty() {
             let frame = self.frames.fill(db, self.t);
             self.set.step_epoch(
                 std::slice::from_ref(&frame),
@@ -271,7 +304,7 @@ impl Archived {
 
     /// See [`crate::CompiledQuery::force_interpreter`].
     pub(crate) fn force_interpreter(&mut self, on: bool) {
-        let indep = self.set.chains.iter_mut();
+        let indep = self.set.chains().iter_mut();
         for (_, chain) in indep.chain(self.markov.iter_mut()) {
             chain.force_interpreter(on);
         }
@@ -465,7 +498,7 @@ mod tests {
     fn one_chain_per_key_in_binding_order() {
         let eval = compile(&db_two_people(), "At(p,'a') ; At(p,'c')").unwrap();
         assert_eq!(eval.kind, QueryKind::Extended);
-        assert_eq!(eval.set.chains.len(), 2);
+        assert_eq!(eval.set.len(), 2);
         assert!(eval.markov.is_empty());
         assert_eq!(QueryKind::Extended.combine(&[0.5, 0.5]), 0.75);
         assert_eq!(QueryKind::Regular.combine(&[0.25]), 0.25);
@@ -485,8 +518,8 @@ mod tests {
     #[test]
     fn frames_cover_only_read_streams_and_read_bottom_past_the_end() {
         let db = db_two_people();
-        let eval = compile(&db, "At('sue','a')").unwrap();
-        let mut frames = HistoryFrames::new(&db, &eval.set.chains);
+        let mut eval = compile(&db, "At('sue','a')").unwrap();
+        let mut frames = HistoryFrames::new(&db, eval.set.chains());
         assert!(frames.bottoms[0].is_empty(), "joe's stream is not read");
         let sue = &db.streams()[1];
         let frame = frames.fill(&db, 1);

@@ -432,17 +432,41 @@ proptest! {
 /// that zero is `-0.0`.
 type FillPerson = (Vec<(usize, f64)>, bool, bool);
 
+/// A per-binding relation table: each person's own offices, so every
+/// binding translates outcomes through its own symbol table and most
+/// lanes form groups too small to batch — single-stream chains that
+/// step scalar through their outcome projection.
+const OFFICE_QUERY: &str = "At(p, l1)[Office(p, l1)] ; At(p, 'c')";
+
+/// The fill scenarios' query pool: [`QUERIES`], then [`OFFICE_QUERY`].
+fn fill_query(i: usize) -> &'static str {
+    QUERIES.get(i).copied().unwrap_or(OFFICE_QUERY)
+}
+
+/// Person `p`'s offices: a nonempty subset of [`DOMAIN`] that differs
+/// between any seven consecutive people.
+fn offices(p: usize) -> impl Iterator<Item = &'static str> {
+    let mask = p % 7 + 1;
+    DOMAIN
+        .into_iter()
+        .enumerate()
+        .filter(move |(i, _)| mask & (1 << i) != 0)
+        .map(|(_, loc)| loc)
+}
+
 /// Batch-sized sessions (at least four lanes per group) over marginals
 /// that stress the outcome-major fill: exact zeros, `-0.0`, and the
 /// tiny negative probabilities `validate_dist` admits, with lanes bound
-/// to contiguous, interleaved or reversed stream indices.
+/// to contiguous, interleaved, reversed or holed stream indices.
 #[derive(Debug, Clone)]
 struct FillScenario {
     n_people: usize,
     /// 0: `At` streams contiguous; 1: a two-outcome `Badge` stream after
-    /// each `At` stream; 2: `At` streams declared in reverse order.
+    /// each `At` stream; 2: `At` streams declared in reverse order;
+    /// 3: contiguous with holes — a `Badge` stream after every third
+    /// `At` stream, so one group's lanes fill in several runs.
     layout: usize,
-    /// Indices into [`QUERIES`]; registered as q0, q1, … in order.
+    /// Indices into [`fill_query`]; registered as q0, q1, … in order.
     queries: Vec<usize>,
     /// `ticks[t][person]`.
     ticks: Vec<Vec<FillPerson>>,
@@ -462,8 +486,8 @@ fn fill_scenario() -> impl Strategy<Value = FillScenario> {
         any::<bool>(),
     );
     (
-        (4..9usize, 0..3usize),
-        prop::collection::vec(0..QUERIES.len(), 1..4),
+        (4..9usize, 0..4usize),
+        prop::collection::vec(0..QUERIES.len() + 1, 1..4),
         prop::collection::vec(prop::collection::vec(person, 8), 3..9),
         (0..1_000_000usize, 0..1_000_000usize),
         any::<bool>(),
@@ -497,6 +521,7 @@ fn fill_db(s: &FillScenario) -> Database {
     db.declare_stream("At", &["person"], &["loc"]).unwrap();
     db.declare_stream("Badge", &["person"], &["state"]).unwrap();
     db.declare_relation("Hallway", 1).unwrap();
+    db.declare_relation("Office", 2).unwrap();
     let i = db.interner().clone();
     db.insert_relation_tuple("Hallway", lahar_model::tuple([i.intern("h")]))
         .unwrap();
@@ -506,9 +531,13 @@ fn fill_db(s: &FillScenario) -> Database {
     };
     for p in people {
         let key = format!("p{p}");
+        for loc in offices(p) {
+            let office = lahar_model::tuple([i.intern(&key), i.intern(loc)]);
+            db.insert_relation_tuple("Office", office).unwrap();
+        }
         let at = StreamBuilder::new(&i, "At", &[&key], &DOMAIN);
         db.add_stream(at.independent(vec![]).unwrap()).unwrap();
-        if s.layout == 1 {
+        if s.layout == 1 || (s.layout == 3 && p % 3 == 2) {
             let badge = StreamBuilder::new(&i, "Badge", &[&key], &["in"]);
             db.add_stream(badge.independent(vec![]).unwrap()).unwrap();
         }
@@ -577,20 +606,69 @@ fn chain_states(ckpt: &Checkpoint) -> lahar_core::json::JsonValue {
     doc.get("chains").unwrap().clone()
 }
 
+/// Every chain's discovered DFA state sets, in chain order.
+fn dfa_sets(states: &lahar_core::json::JsonValue) -> Vec<lahar_core::json::JsonValue> {
+    let lahar_core::json::JsonValue::Array(chains) = states else {
+        panic!("chain states are an array");
+    };
+    chains
+        .iter()
+        .map(|c| c.get("dfa_sets").unwrap().clone())
+        .collect()
+}
+
+/// All-⊥ ticks closed after the scenario before the resident window: ⊥
+/// alone reaches a fixed set of states within these, so the window
+/// after them discovers nothing.
+const BOTTOM_SETTLE: usize = 8;
+/// All-⊥ ticks of the resident window, between two checkpoints.
+const BOTTOM_RESIDENT: usize = 3;
+
+/// What [`bottom_tail`] observed: the tail's alert bits and the chain
+/// states at both of its checkpoints.
+#[derive(Debug, PartialEq)]
+struct BottomTail {
+    alerts: Vec<Vec<(String, u32, u64)>>,
+    settled: lahar_core::json::JsonValue,
+    resident: lahar_core::json::JsonValue,
+}
+
+/// Closes the all-⊥ tail: [`BOTTOM_SETTLE`] ticks, a checkpoint,
+/// [`BOTTOM_RESIDENT`] ticks and a second checkpoint.
+fn bottom_tail(session: &mut RealTimeSession) -> BottomTail {
+    let mut alerts = Vec::new();
+    for _ in 0..BOTTOM_SETTLE {
+        alerts.push(bits(&session.tick().unwrap()));
+    }
+    let settled = chain_states(&session.checkpoint().unwrap());
+    for _ in 0..BOTTOM_RESIDENT {
+        alerts.push(bits(&session.tick().unwrap()));
+    }
+    let resident = chain_states(&session.checkpoint().unwrap());
+    BottomTail {
+        alerts,
+        settled,
+        resident,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The outcome-major fill and the cached plans against the forced
-    /// interpreter, under every dispatch: alerts bit-identical on every
-    /// tick, checkpointed chain states (discovery order included)
-    /// identical at the split, and a restored twin tracking both.
+    /// The outcome-major fill, the cached plans and group-resident
+    /// state against the forced interpreter, under every dispatch:
+    /// alerts bit-identical on every tick, checkpointed chain states
+    /// (discovery order included) identical at the split, and a restored
+    /// twin tracking both. An all-⊥ tail then checkpoints again after
+    /// [`BOTTOM_RESIDENT`] ticks that discover no state, so the second
+    /// checkpoint writes back several ticks a group kept resident.
     #[test]
     fn batched_fill_and_cached_plans_match_the_interpreter(s in fill_scenario()) {
         let build = |mode: TickMode, forced: bool| {
             let config = SessionConfig::builder().tick_mode(mode).build().unwrap();
             let mut session = RealTimeSession::with_config(fill_db(&s), config).unwrap();
             for (i, &q) in s.queries.iter().enumerate() {
-                session.register(&format!("q{i}"), QUERIES[q]).unwrap();
+                session.register(&format!("q{i}"), fill_query(q)).unwrap();
             }
             session.force_interpreter(forced);
             session
@@ -605,6 +683,12 @@ proptest! {
             }
         }
         let reference_states = reference_states.unwrap();
+        let reference_tail = bottom_tail(&mut intp);
+        prop_assert_eq!(
+            dfa_sets(&reference_tail.settled),
+            dfa_sets(&reference_tail.resident),
+            "the resident window discovered a state"
+        );
 
         let _guard = DispatchGuard;
         let mode = if s.parallel { TickMode::Parallel } else { TickMode::Sequential };
@@ -630,6 +714,8 @@ proptest! {
                     restored = Some(RealTimeSession::restore(fill_db(&s), &parsed).unwrap());
                 }
             }
+            let tail = bottom_tail(&mut kern);
+            prop_assert_eq!(&tail, &reference_tail, "dispatch {:?} all-⊥ tail", d);
         }
     }
 }
